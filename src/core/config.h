@@ -65,9 +65,6 @@ struct DeploymentConfig {
   /// unknown/malformed options and plans whose counts don't match fw/fps.
   std::string worker_attack;
   std::string server_attack;
-  /// Crash the primary server at this iteration (0 = never); used by the
-  /// crash-tolerant baseline's failover test.
-  std::size_t crash_primary_at = 0;
 
   // --- data distribution --------------------------------------------------
   /// Shard training data by class (strongly non-iid) instead of iid.
@@ -108,8 +105,9 @@ struct DeploymentConfig {
   /// framed streams — the paper's actual one-process-per-machine topology,
   /// see core/node_runner.h). Sync runs are bitwise identical across the
   /// two. validate() rejects anything else, and rejects tcp combined with
-  /// knobs that need a shared address space (alignment_every, the
-  /// imperative crash_primary_at fault injection).
+  /// what needs a shared address space: alignment_every, and a churn
+  /// schedule that has node 0 down at the last iteration (rank 0 must
+  /// report it, see core/node_runner.h).
   std::string transport = "inproc";
   /// Gradient-compression wire codec (net/codec.h grammar): "none" (the
   /// default), "int8", or "topk:k=0.01". Lossy codecs compress gradient

@@ -487,8 +487,8 @@ int run_node(const DeploymentConfig& config, const NodeOptions& options) {
     rt.config = config;
     rt.transport = transport;
     detail::build_runtime(rt);  // Cluster ctor blocks on the mesh handshake
-    detail::register_recovery(rt, options.rank);
-    detail::maybe_resume(rt);
+    detail::register_recovery_hooks(rt, options.rank);
+    detail::resume_replicas(rt);
 
     // Ready barrier: every process has its handlers registered before any
     // driving loop issues a pull — a pull racing a sibling's construction

@@ -29,9 +29,11 @@
 //          the result blob the parent returns from train().
 //
 // Known scope limits, enforced by DeploymentConfig::validate(): the
-// alignment probe and crash_primary_at need a shared address space and are
-// rejected under tcp; NetStats / worker counters in the returned result
-// are rank 0's process-local view.
+// alignment probe needs a shared address space and is rejected under tcp,
+// as is a churn schedule that has node 0 down at the last iteration (rank
+// 0 harvests only its own objects, so it must report that iteration);
+// NetStats / worker counters in the returned result are rank 0's
+// process-local view.
 #pragma once
 
 #include <cstdint>

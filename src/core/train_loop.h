@@ -47,12 +47,18 @@ struct Runtime {
   std::vector<std::unique_ptr<Server>> servers;
   std::vector<std::unique_ptr<Worker>> workers;
   data::Batch test;
-  std::vector<std::vector<EvalPoint>> curves;  // one per server
+  /// One per driver: the eval points of the iterations it reported.
+  std::vector<std::vector<EvalPoint>> curves;
   util::Mutex alignment_mutex;
   std::vector<AlignmentSample> alignment GARFIELD_GUARDED_BY(alignment_mutex);
-  /// Reporting replica's per-iteration gradient reply counts (s == 0 loop
-  /// thread only — no lock needed).
+  /// Per-iteration gradient reply counts, sized to config.iterations at
+  /// build time. Entry `it` is written only by that iteration's reporting
+  /// loop, so concurrent loops never touch the same element.
   std::vector<std::size_t> reporting_gradient_counts;
+  /// Serializes checkpoint saves across reporting loops; the iteration of
+  /// the freshest checkpoint written so far.
+  util::Mutex checkpoint_mutex;
+  std::size_t checkpointed_iteration GARFIELD_GUARDED_BY(checkpoint_mutex) = 0;
   /// Byzantine-recovery state transfer outcomes: peer checkpoint blobs
   /// adopted after digest verification, and blobs rejected by it (a
   /// corrupt_recovery peer, a torn carrier, a dimension mismatch).
@@ -89,14 +95,15 @@ void build_runtime(Runtime& rt);
 /// Wire the churn schedule's recovery hooks. `only_node` restricts
 /// registration to one node id — a multi-process rank registers only its
 /// own hook, since foreign object copies in this process never serve.
-void register_recovery(Runtime& rt,
-                       std::optional<net::NodeId> only_node = std::nullopt);
+void register_recovery_hooks(
+    Runtime& rt, std::optional<net::NodeId> only_node = std::nullopt);
 
 /// Resume support: overwrite every local replica's state with the
 /// checkpoint named by config.resume_from (no-op when unset).
-void maybe_resume(Runtime& rt);
+void resume_replicas(Runtime& rt);
 
-/// Run rank/server-index `s`'s driving loop for the configured deployment.
+/// Run rank/server-index `s`'s driving loop: the decentralized loop for
+/// peers, the parameter-server loop for every other deployment preset.
 void run_loop(Runtime& rt, std::size_t s);
 
 /// Assemble the TrainResult after every driving loop has joined. Throws

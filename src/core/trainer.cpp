@@ -91,23 +91,22 @@ data::Dataset make_dataset(const DeploymentConfig& cfg,
                                     cfg.dataset_noise);
 }
 
-/// Build cluster, servers and workers for a parameter-server deployment
-/// (vanilla / crash-tolerant / SSMW / MSMW). Node ids: servers [0, nps),
-/// workers [nps, nps + nw).
-void build_parameter_server(Runtime& rt) {
+/// The prelude both deployment shapes share: the dataset (test split into
+/// rt.test, training shards returned, one per worker) and the cluster over
+/// cfg.total_nodes() ids. `salt` keeps the two shapes' network seeds apart.
+std::vector<data::Dataset> build_data_and_cluster(Runtime& rt,
+                                                  std::uint64_t salt) {
   const DeploymentConfig& cfg = rt.config;
-  Rng root(cfg.seed);
-  Rng model_rng = root.fork(1);   // same weights on every replica
+  const Rng root(cfg.seed);
+  Rng model_rng = root.fork(1);
   Rng data_rng = root.fork(2);
-
   auto proto = nn::make_model(cfg.model, model_rng);
-  const tensor::Shape input_shape = proto->input_shape();
-  const std::size_t classes = proto->num_classes();
 
   // Draw train and test from one generator call so they share the same
   // prototypes/teacher, then split.
-  data::Dataset full = make_dataset(cfg, input_shape, classes,
-                                    cfg.train_size + cfg.test_size, data_rng);
+  data::Dataset full =
+      make_dataset(cfg, proto->input_shape(), proto->num_classes(),
+                   cfg.train_size + cfg.test_size, data_rng);
   auto [train, test_set] = full.split(cfg.train_size);
   rt.test = test_set.all();
   std::vector<data::Dataset> shards =
@@ -115,13 +114,23 @@ void build_parameter_server(Runtime& rt) {
                   : data::shard_iid(train, cfg.nw, data_rng);
 
   net::Cluster::Options net_opts;
-  net_opts.nodes = cfg.nps + cfg.nw;
+  net_opts.nodes = cfg.total_nodes();
   net_opts.pool_threads = cfg.pool_threads;
   net_opts.conditions = net::NetworkConditions::parse(cfg.network);
-  net_opts.seed = cfg.seed ^ 0xc1u;
+  net_opts.seed = cfg.seed ^ salt;
   net_opts.transport = rt.transport;  // null => in-process backend
   rt.conditions = net_opts.conditions;
   rt.cluster = std::make_unique<net::Cluster>(net_opts);
+  return shards;
+}
+
+/// Build cluster, servers and workers for a parameter-server deployment
+/// (vanilla / crash-tolerant / SSMW / MSMW). Node ids: servers [0, nps),
+/// workers [nps, nps + nw).
+void build_parameter_server(Runtime& rt) {
+  const DeploymentConfig& cfg = rt.config;
+  const Rng root(cfg.seed);
+  std::vector<data::Dataset> shards = build_data_and_cluster(rt, 0xc1u);
 
   std::vector<net::NodeId> worker_ids, server_ids;
   for (std::size_t s = 0; s < cfg.nps; ++s) server_ids.push_back(s);
@@ -182,37 +191,14 @@ void build_parameter_server(Runtime& rt) {
       server->enable_step_tagged_serving(/*models=*/true,
                                          /*aggr_grads=*/false);
   }
-  rt.curves.resize(cfg.nps);
 }
 
 /// Build the peer-to-peer runtime: nw nodes, each Server + Worker with the
 /// same node id.
 void build_decentralized(Runtime& rt) {
   const DeploymentConfig& cfg = rt.config;
-  Rng root(cfg.seed);
-  Rng data_rng = root.fork(2);
-
-  Rng proto_rng = root.fork(1);
-  auto proto = nn::make_model(cfg.model, proto_rng);
-  const tensor::Shape input_shape = proto->input_shape();
-  const std::size_t classes = proto->num_classes();
-
-  data::Dataset full = make_dataset(cfg, input_shape, classes,
-                                    cfg.train_size + cfg.test_size, data_rng);
-  auto [train, test_set] = full.split(cfg.train_size);
-  rt.test = test_set.all();
-  std::vector<data::Dataset> shards =
-      cfg.non_iid ? data::shard_by_class(train, cfg.nw)
-                  : data::shard_iid(train, cfg.nw, data_rng);
-
-  net::Cluster::Options net_opts;
-  net_opts.nodes = cfg.nw;
-  net_opts.pool_threads = cfg.pool_threads;
-  net_opts.conditions = net::NetworkConditions::parse(cfg.network);
-  net_opts.seed = cfg.seed ^ 0xc2u;
-  net_opts.transport = rt.transport;  // null => in-process backend
-  rt.conditions = net_opts.conditions;
-  rt.cluster = std::make_unique<net::Cluster>(net_opts);
+  const Rng root(cfg.seed);
+  std::vector<data::Dataset> shards = build_data_and_cluster(rt, 0xc2u);
 
   std::vector<net::NodeId> all_ids;
   for (std::size_t i = 0; i < cfg.nw; ++i) all_ids.push_back(i);
@@ -268,7 +254,6 @@ void build_decentralized(Runtime& rt) {
   // gossip tag additionally encodes the contraction round).
   for (auto& server : rt.servers)
     server->enable_step_tagged_serving(/*models=*/true, /*aggr_grads=*/true);
-  rt.curves.resize(cfg.nw);
 }
 
 /// Byzantine-recovery state transfer — the live path the checkpoint
@@ -326,6 +311,302 @@ bool recover_from_peers(Runtime& rt, Server& server, net::NodeId self,
   }
   rt.state_transfers.fetch_add(1);
   return true;
+}
+
+/// Drive the churn schedule at the top of a loop iteration and park this
+/// node's loop while the schedule has it down. Returns the iteration the
+/// loop should run (>= it, jumping over a crash window the node slept
+/// through), or nullopt when the loop should exit instead: the run
+/// aborted, the node never recovers inside the configured horizon, or the
+/// recovery wait timed out (a schedule nobody left alive can drive).
+std::optional<std::size_t> churn_gate(Runtime& rt, net::NodeId node,
+                                      std::size_t it) {
+  if (rt.abort.load()) return std::nullopt;
+  if (!rt.conditions.has_churn()) return it;
+  rt.cluster->advance_lifecycle(it);
+  if (!rt.cluster->is_crashed(node)) return it;
+  // The horizon is cluster-wide: a faster loop may have driven this node
+  // into a down window the schedule opens after `it`. The comeback is the
+  // up-edge closing that window (a permanent crash has none).
+  std::uint64_t down = it;
+  while (down + 1 < rt.config.iterations &&
+         !rt.conditions.churn_down(node, down))
+    ++down;
+  const std::optional<std::uint64_t> up =
+      rt.conditions.next_up_iteration(node, down);
+  if (!up || *up >= rt.config.iterations) return std::nullopt;
+  // Park until live peers drive the schedule past the up-edge. Waiting in
+  // short slices keeps the park responsive to a concurrent abort, and the
+  // overall deadline guards undrivable schedules.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!rt.abort.load()) {
+    const std::optional<std::uint64_t> resumed =
+        rt.cluster->wait_until_running(node, std::chrono::milliseconds(50));
+    if (resumed) return std::size_t(*resumed);
+    if (std::chrono::steady_clock::now() >= deadline) return std::nullopt;
+  }
+  return std::nullopt;
+}
+
+/// The scheduled-availability floor check: at iteration `it` the churn
+/// schedule must keep at least `plan.min_n` of the span [lo, hi) up, or
+/// the GAR's (n, f) resilience bound is void. Checked against the
+/// *schedule* rather than observed replies, so every loop trips it at the
+/// same iteration and the whole run aborts deterministically.
+bool churn_floor_holds(Runtime& rt, const GarPlan& plan, std::size_t lo,
+                       std::size_t hi, std::size_t it, const char* what) {
+  if (!rt.conditions.has_churn()) return true;
+  const std::size_t down = rt.conditions.count_down(lo, hi, it);
+  const std::size_t up = hi - lo - down;
+  if (up >= plan.min_n) return true;
+  {
+    util::MutexLock lock(rt.abort_mutex);
+    if (rt.abort_reason.empty()) {
+      rt.abort_reason =
+          "churn schedule drops " + std::string(what) +
+          " availability to " + std::to_string(up) + " node(s) at iteration " +
+          std::to_string(it) + ", below the '" + plan.spec.name +
+          "' GAR resilience floor min_n=" + std::to_string(plan.min_n) +
+          " — aborting instead of aggregating below the (n, f) bound";
+    }
+  }
+  rt.abort.store(true);
+  return false;
+}
+
+/// The driver that reports iteration `it`: the lowest-ranked server
+/// replica (or peer) the churn schedule has up at `it`. A pure function of
+/// the schedule, so exactly one loop owns each iteration's gradient count,
+/// eval point, checkpoint and alignment sample: the primary until the
+/// schedule crashes it, then the next replica up. Failover is therefore
+/// just `churn:crash=0,at_iter=K`.
+std::size_t reporter(const Runtime& rt, std::size_t it) {
+  const std::size_t drivers = detail::driver_count(rt.config);
+  for (std::size_t s = 0; s < drivers; ++s) {
+    if (!rt.conditions.churn_down(s, it)) return s;
+  }
+  return 0;  // nobody is up, so no loop runs `it`
+}
+
+/// Persist the reporting server's state on the configured cadence.
+void maybe_checkpoint(Runtime& rt, std::size_t server_index, std::size_t it) {
+  const DeploymentConfig& cfg = rt.config;
+  if (cfg.checkpoint_every == 0 || cfg.checkpoint_path.empty()) return;
+  if ((it + 1) % cfg.checkpoint_every != 0 && it + 1 != cfg.iterations)
+    return;
+  // Around a failover the crashed primary's last reports can race its
+  // successor's first: saves are serialized, and a lagging one never
+  // replaces a fresher checkpoint.
+  util::MutexLock lock(rt.checkpoint_mutex);
+  if (it + 1 <= rt.checkpointed_iteration) return;
+  save_checkpoint(
+      cfg.checkpoint_path,
+      Checkpoint{it + 1, rt.servers[server_index]->parameters(),
+                 rt.servers[server_index]->optimizer_velocity()});
+  rt.checkpointed_iteration = it + 1;
+}
+
+void maybe_eval(Runtime& rt, std::size_t server_index, std::size_t it) {
+  const DeploymentConfig& cfg = rt.config;
+  if (cfg.eval_every == 0) return;
+  if (it % cfg.eval_every != 0 && it + 1 != cfg.iterations) return;
+  Server& s = *rt.servers[server_index];
+  EvalPoint p;
+  p.iteration = it;
+  p.accuracy = s.compute_accuracy(rt.test);
+  p.loss = s.compute_loss(rt.test);
+  rt.curves[server_index].push_back(p);
+}
+
+/// Table-2 probe: pairwise parameter differences across correct replicas,
+/// keep the two of largest norm, report the cosine of their angle.
+void maybe_alignment(Runtime& rt, std::size_t correct_servers,
+                     std::size_t it) {
+  const DeploymentConfig& cfg = rt.config;
+  if (cfg.alignment_every == 0 || it % cfg.alignment_every != 0) return;
+  if (correct_servers < 3) return;  // need >= 2 difference vectors
+  std::vector<Payload> params;
+  params.reserve(correct_servers);
+  for (std::size_t s = 0; s < correct_servers; ++s)
+    params.push_back(rt.servers[s]->parameters());
+  struct Diff {
+    double norm;
+    Payload vec;
+  };
+  std::vector<Diff> diffs;
+  for (std::size_t a = 0; a < params.size(); ++a) {
+    for (std::size_t b = a + 1; b < params.size(); ++b) {
+      Payload d(params[a].size());
+      tensor::subtract(params[a], params[b], d);
+      diffs.push_back({tensor::norm(d), std::move(d)});
+    }
+  }
+  std::partial_sort(diffs.begin(), diffs.begin() + 2, diffs.end(),
+                    [](const Diff& x, const Diff& y) {
+                      return x.norm > y.norm;
+                    });
+  AlignmentSample sample;
+  sample.iteration = it;
+  sample.max_diff1 = diffs[0].norm;
+  sample.max_diff2 = diffs[1].norm;
+  // A difference vector's sign is an artifact of pair ordering (a-b vs
+  // b-a); alignment is about the angle between the *lines*, so report the
+  // magnitude of the cosine.
+  sample.cos_phi = std::abs(tensor::cosine(diffs[0].vec, diffs[1].vec));
+  util::MutexLock lock(rt.alignment_mutex);
+  rt.alignment.push_back(sample);
+}
+
+// ------------------------------------------------------------ loop bodies
+
+/// The one loop behind the four parameter-server presets. They differ
+/// only in stages resolved before the first iteration:
+///   - gradient stage: vanilla and crash_tolerant average all nw replies
+///     (ignoring `asynchronous`); SSMW and MSMW apply gradient_gar at fw,
+///     waiting for nw - fw replies when asynchronous;
+///   - model stage, MSMW only: model_gar at fps over the replicas'
+///     same-iteration states.
+/// Crash-tolerant replicas are plain uncoupled replicas; which one's
+/// progress the run reports is reporter()'s call.
+void parameter_server_loop(Runtime& rt, std::size_t s) {
+  const DeploymentConfig& cfg = rt.config;
+  Server& server = *rt.servers[s];
+  const bool robust = cfg.deployment == Deployment::kSsmw ||
+                      cfg.deployment == Deployment::kMsmw;
+  const std::size_t fw = robust ? cfg.fw : 0;
+  const std::size_t q = robust && cfg.asynchronous ? cfg.nw - cfg.fw : cfg.nw;
+  const GarPlan grad = plan_gar(robust ? cfg.gradient_gar : "average", fw);
+  std::optional<GarPlan> model;
+  if (cfg.deployment == Deployment::kMsmw)
+    model = plan_gar(cfg.model_gar, cfg.fps);
+  // Model exchange: pull from peers, then include own state, so the GAR
+  // sees (peers pulled + 1) inputs.
+  const std::size_t q_peers =
+      cfg.asynchronous ? cfg.nps - cfg.fps - 1 : cfg.nps - 1;
+  gars::AggregationContext& ctx = server.aggregation_context();
+  for (std::size_t it = 0; it < cfg.iterations; ++it) {
+    const std::optional<std::size_t> next = churn_gate(rt, s, it);
+    if (!next) return;
+    it = *next;
+    if (!churn_floor_holds(rt, grad, cfg.nps, cfg.nps + cfg.nw, it,
+                           "worker") ||
+        (model && !churn_floor_holds(rt, *model, 0, cfg.nps, it, "server")))
+      return;
+    const bool reports = reporter(rt, it) == s;
+    const std::vector<Payload> grads = server.get_gradients(it, q);
+    if (reports) rt.reporting_gradient_counts[it] = grads.size();
+    if (grads.size() >= grad.min_n) {
+      server.update_model(aggregate(grad.spec, fw, grads, ctx));
+    } else if (!model) {
+      continue;  // no step taken and no exchange to serve
+    }
+    if (model) {
+      // Publish the post-gradient-step state as this replica's model for
+      // iteration `it`, then pull the peers' same-iteration states; a peer
+      // that has not reached `it` yet answers not-ready and the transport
+      // redelivers — no loop thread ever blocks on a slow replica.
+      server.publish_model(it);
+      std::vector<Payload> models = server.get_models(it, q_peers);
+      models.push_back(server.parameters());
+      if (models.size() >= model->min_n) {
+        server.write_model(aggregate(model->spec, cfg.fps, models, ctx));
+      }
+    }
+    if (reports) {
+      maybe_eval(rt, s, it);
+      if (model) maybe_alignment(rt, cfg.nps - cfg.fps, it);
+      maybe_checkpoint(rt, s, it);
+    }
+  }
+}
+
+void decentralized_loop(Runtime& rt, std::size_t s) {
+  const DeploymentConfig& cfg = rt.config;
+  Server& server = *rt.servers[s];
+  const std::size_t q = cfg.nw - cfg.fw;  // n - f throughout (Listing 3)
+  const GarPlan grad = plan_gar(cfg.gradient_gar, cfg.fw);
+  const GarPlan model = plan_gar(cfg.model_gar, cfg.fw);
+  gars::AggregationContext& ctx = server.aggregation_context();
+  // Gossip tags encode (iteration, contraction round) in one integer so
+  // both the publisher and the puller of a contract() round agree on what
+  // "round r of iteration t" means.
+  const std::size_t rounds = cfg.contraction_steps;
+  const auto gossip_tag = [rounds](std::size_t it, std::size_t r) {
+    return std::uint64_t(it) * std::uint64_t(rounds) + std::uint64_t(r);
+  };
+  for (std::size_t it = 0; it < cfg.iterations; ++it) {
+    const std::optional<std::size_t> next = churn_gate(rt, s, it);
+    if (!next) return;
+    it = *next;
+    if (!churn_floor_holds(rt, grad, 0, cfg.nw, it, "peer") ||
+        !churn_floor_holds(rt, model, 0, cfg.nw, it, "peer"))
+      return;
+    const bool reports = reporter(rt, it) == s;
+    const std::vector<Payload> grads = server.get_gradients(it, q);
+    if (reports) rt.reporting_gradient_counts[it] = grads.size();
+    if (grads.size() < grad.min_n) {
+      // Skipping the iteration must not wedge the peers: publish explicit
+      // "no contribution" markers for every gossip round and the unchanged
+      // model, so their tagged pulls resolve instead of retrying into
+      // their deadline.
+      for (std::size_t step = 0; step < rounds; ++step)
+        server.skip_aggr_grad(gossip_tag(it, step));
+      server.publish_model(it);
+      continue;
+    }
+    Payload aggr = aggregate(grad.spec, cfg.fw, grads, ctx);
+    // contract(): multi-round gossip forcing correct nodes together.
+    // Listing 3 enables it for non-iid data; it is keyed on the step
+    // count here so the ablation can isolate its effect.
+    for (std::size_t step = 0; step < rounds; ++step) {
+      server.publish_aggr_grad(gossip_tag(it, step), aggr);
+      std::vector<Payload> peer_grads =
+          server.get_aggr_grads(gossip_tag(it, step), q - 1, it);
+      peer_grads.push_back(aggr);
+      if (peer_grads.size() < grad.min_n) {
+        for (std::size_t rest = step + 1; rest < rounds; ++rest)
+          server.skip_aggr_grad(gossip_tag(it, rest));
+        break;
+      }
+      aggr = aggregate(grad.spec, cfg.fw, peer_grads, ctx);
+    }
+    server.update_model(aggr);
+    server.publish_model(it);
+    std::vector<Payload> models = server.get_models(it, q - 1);
+    models.push_back(server.parameters());
+    if (models.size() >= model.min_n) {
+      server.write_model(aggregate(model.spec, cfg.fw, models, ctx));
+    }
+    if (reports) {
+      maybe_eval(rt, s, it);
+      // Inter-peer drift probe: same methodology as the Table-2 server
+      // alignment, applied to the correct peers' model replicas.
+      maybe_alignment(rt, cfg.nw - cfg.fw, it);
+    }
+  }
+}
+
+}  // namespace
+
+namespace detail {
+
+void build_runtime(Runtime& rt) {
+  if (is_decentralized(rt.config)) {
+    build_decentralized(rt);
+  } else {
+    build_parameter_server(rt);
+  }
+  rt.curves.resize(driver_count(rt.config));
+  rt.reporting_gradient_counts.assign(rt.config.iterations, 0);
+  // Install the wire codec on every endpoint before any loop starts: the
+  // whole cluster speaks one codec (mixed-codec clusters are not a thing —
+  // the spec is part of the deployment config every process shares).
+  const net::CodecSpec codec = net::CodecSpec::parse(rt.config.codec);
+  if (!codec.identity()) {
+    for (auto& server : rt.servers) server->set_codec(codec);
+    for (auto& worker : rt.workers) worker->set_codec(codec);
+  }
 }
 
 /// Wire the churn schedule's recovery path: when advance_lifecycle brings
@@ -389,62 +670,6 @@ void register_recovery_hooks(Runtime& rt,
   }
 }
 
-/// Drive the churn schedule at the top of a loop iteration and park this
-/// node's loop while the schedule has it down. Returns the iteration the
-/// loop should run (>= it, jumping over a crash window the node slept
-/// through), or nullopt when the loop should exit instead: the run
-/// aborted, the node never recovers inside the configured horizon, or the
-/// recovery wait timed out (a schedule nobody left alive can drive).
-std::optional<std::size_t> churn_gate(Runtime& rt, net::NodeId node,
-                                      std::size_t it) {
-  if (rt.abort.load()) return std::nullopt;
-  if (!rt.conditions.has_churn()) return it;
-  rt.cluster->advance_lifecycle(it);
-  if (!rt.cluster->is_crashed(node)) return it;
-  const std::optional<std::uint64_t> up =
-      rt.conditions.next_up_iteration(node, it);
-  if (!up || *up >= rt.config.iterations) return std::nullopt;
-  // Park until live peers drive the schedule past the up-edge. Waiting in
-  // short slices keeps the park responsive to a concurrent abort, and the
-  // overall deadline guards undrivable schedules.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (!rt.abort.load()) {
-    const std::optional<std::uint64_t> resumed =
-        rt.cluster->wait_until_running(node, std::chrono::milliseconds(50));
-    if (resumed) return std::size_t(*resumed);
-    if (std::chrono::steady_clock::now() >= deadline) return std::nullopt;
-  }
-  return std::nullopt;
-}
-
-/// The scheduled-availability floor check: at iteration `it` the churn
-/// schedule must keep at least `plan.min_n` of the span [lo, hi) up, or
-/// the GAR's (n, f) resilience bound is void. Checked against the
-/// *schedule* rather than observed replies, so every loop trips it at the
-/// same iteration and the whole run aborts deterministically.
-bool churn_floor_holds(Runtime& rt, const GarPlan& plan, std::size_t lo,
-                       std::size_t hi, std::size_t it, const char* what) {
-  if (!rt.conditions.has_churn()) return true;
-  const std::size_t down = rt.conditions.count_down(lo, hi, it);
-  const std::size_t up = hi - lo - down;
-  if (up >= plan.min_n) return true;
-  {
-    util::MutexLock lock(rt.abort_mutex);
-    if (rt.abort_reason.empty()) {
-      rt.abort_reason =
-          "churn schedule drops " + std::string(what) +
-          " availability to " + std::to_string(up) + " node(s) at iteration " +
-          std::to_string(it) + ", below the '" + plan.spec.name +
-          "' GAR resilience floor min_n=" + std::to_string(plan.min_n) +
-          " — aborting instead of aggregating below the (n, f) bound";
-    }
-  }
-  rt.abort.store(true);
-  return false;
-}
-
-/// Resume support: overwrite every replica's state with the checkpoint.
 void resume_replicas(Runtime& rt) {
   if (rt.config.resume_from.empty()) return;
   const Checkpoint ckpt = load_checkpoint(rt.config.resume_from);
@@ -457,281 +682,11 @@ void resume_replicas(Runtime& rt) {
   }
 }
 
-/// Persist the reporting server's state on the configured cadence.
-void maybe_checkpoint(Runtime& rt, std::size_t server_index, std::size_t it) {
-  const DeploymentConfig& cfg = rt.config;
-  if (cfg.checkpoint_every == 0 || cfg.checkpoint_path.empty()) return;
-  if ((it + 1) % cfg.checkpoint_every != 0 && it + 1 != cfg.iterations)
-    return;
-  save_checkpoint(
-      cfg.checkpoint_path,
-      Checkpoint{it + 1, rt.servers[server_index]->parameters(),
-                 rt.servers[server_index]->optimizer_velocity()});
-}
-
-void maybe_eval(Runtime& rt, std::size_t server_index, std::size_t it) {
-  const DeploymentConfig& cfg = rt.config;
-  if (cfg.eval_every == 0) return;
-  if (it % cfg.eval_every != 0 && it + 1 != cfg.iterations) return;
-  Server& s = *rt.servers[server_index];
-  EvalPoint p;
-  p.iteration = it;
-  p.accuracy = s.compute_accuracy(rt.test);
-  p.loss = s.compute_loss(rt.test);
-  rt.curves[server_index].push_back(p);
-}
-
-/// Table-2 probe: pairwise parameter differences across correct replicas,
-/// keep the two of largest norm, report the cosine of their angle.
-void maybe_alignment(Runtime& rt, std::size_t correct_servers,
-                     std::size_t it) {
-  const DeploymentConfig& cfg = rt.config;
-  if (cfg.alignment_every == 0 || it % cfg.alignment_every != 0) return;
-  if (correct_servers < 3) return;  // need >= 2 difference vectors
-  std::vector<Payload> params;
-  params.reserve(correct_servers);
-  for (std::size_t s = 0; s < correct_servers; ++s)
-    params.push_back(rt.servers[s]->parameters());
-  struct Diff {
-    double norm;
-    Payload vec;
-  };
-  std::vector<Diff> diffs;
-  for (std::size_t a = 0; a < params.size(); ++a) {
-    for (std::size_t b = a + 1; b < params.size(); ++b) {
-      Payload d(params[a].size());
-      tensor::subtract(params[a], params[b], d);
-      diffs.push_back({tensor::norm(d), std::move(d)});
-    }
-  }
-  std::partial_sort(diffs.begin(), diffs.begin() + 2, diffs.end(),
-                    [](const Diff& x, const Diff& y) {
-                      return x.norm > y.norm;
-                    });
-  AlignmentSample sample;
-  sample.iteration = it;
-  sample.max_diff1 = diffs[0].norm;
-  sample.max_diff2 = diffs[1].norm;
-  // A difference vector's sign is an artifact of pair ordering (a-b vs
-  // b-a); alignment is about the angle between the *lines*, so report the
-  // magnitude of the cosine.
-  sample.cos_phi = std::abs(tensor::cosine(diffs[0].vec, diffs[1].vec));
-  util::MutexLock lock(rt.alignment_mutex);
-  rt.alignment.push_back(sample);
-}
-
-// ------------------------------------------------------------ loop bodies
-
-void vanilla_loop(Runtime& rt, std::size_t s) {
-  const DeploymentConfig& cfg = rt.config;
-  Server& server = *rt.servers[s];
-  const GarPlan avg = plan_gar("average", 0);
-  gars::AggregationContext& ctx = server.aggregation_context();
-  for (std::size_t it = 0; it < cfg.iterations; ++it) {
-    const std::optional<std::size_t> next = churn_gate(rt, s, it);
-    if (!next) return;
-    it = *next;
-    if (!churn_floor_holds(rt, avg, cfg.nps, cfg.nps + cfg.nw, it, "worker"))
-      return;
-    const std::vector<Payload> grads = server.get_gradients(it, cfg.nw);
-    if (s == 0) rt.reporting_gradient_counts.push_back(grads.size());
-    if (grads.empty()) continue;
-    server.update_model(aggregate(avg.spec, 0, grads, ctx));
-    if (s == 0) {
-      maybe_eval(rt, s, it);
-      maybe_checkpoint(rt, s, it);
-    }
-  }
-}
-
-void crash_tolerant_loop(Runtime& rt, std::size_t s) {
-  const DeploymentConfig& cfg = rt.config;
-  Server& server = *rt.servers[s];
-  const GarPlan avg = plan_gar("average", 0);
-  gars::AggregationContext& ctx = server.aggregation_context();
-  for (std::size_t it = 0; it < cfg.iterations; ++it) {
-    const std::optional<std::size_t> next = churn_gate(rt, s, it);
-    if (!next) return;
-    it = *next;
-    if (rt.cluster->is_crashed(s)) return;  // crash_primary_at fired
-    if (!churn_floor_holds(rt, avg, cfg.nps, cfg.nps + cfg.nw, it, "worker"))
-      return;
-    const std::vector<Payload> grads = server.get_gradients(it, cfg.nw);
-    if (grads.empty()) continue;
-    server.update_model(aggregate(avg.spec, 0, grads, ctx));
-    maybe_eval(rt, s, it);
-    // Fault injection: the primary fail-stops at the configured step.
-    if (s == 0 && cfg.crash_primary_at != 0 && it + 1 == cfg.crash_primary_at)
-      rt.cluster->crash(s);
-  }
-}
-
-void ssmw_loop(Runtime& rt, std::size_t s) {
-  const DeploymentConfig& cfg = rt.config;
-  Server& server = *rt.servers[s];
-  const std::size_t q = cfg.asynchronous ? cfg.nw - cfg.fw : cfg.nw;
-  const GarPlan grad = plan_gar(cfg.gradient_gar, cfg.fw);
-  gars::AggregationContext& ctx = server.aggregation_context();
-  for (std::size_t it = 0; it < cfg.iterations; ++it) {
-    const std::optional<std::size_t> next = churn_gate(rt, s, it);
-    if (!next) return;
-    it = *next;
-    if (!churn_floor_holds(rt, grad, cfg.nps, cfg.nps + cfg.nw, it,
-                           "worker"))
-      return;
-    const std::vector<Payload> grads = server.get_gradients(it, q);
-    if (s == 0) rt.reporting_gradient_counts.push_back(grads.size());
-    if (grads.size() < grad.min_n) continue;
-    server.update_model(aggregate(grad.spec, cfg.fw, grads, ctx));
-    if (s == 0) {
-      maybe_eval(rt, s, it);
-      maybe_checkpoint(rt, s, it);
-    }
-  }
-}
-
-void msmw_loop(Runtime& rt, std::size_t s) {
-  const DeploymentConfig& cfg = rt.config;
-  Server& server = *rt.servers[s];
-  const std::size_t qw = cfg.asynchronous ? cfg.nw - cfg.fw : cfg.nw;
-  // Model exchange: pull from peers, then include own state, so the GAR
-  // sees (peers pulled + 1) inputs.
-  const std::size_t q_peers = cfg.asynchronous
-                                  ? cfg.nps - cfg.fps - 1
-                                  : cfg.nps - 1;
-  const std::size_t correct_servers = cfg.nps - cfg.fps;
-  const GarPlan grad = plan_gar(cfg.gradient_gar, cfg.fw);
-  const GarPlan model = plan_gar(cfg.model_gar, cfg.fps);
-  gars::AggregationContext& ctx = server.aggregation_context();
-  for (std::size_t it = 0; it < cfg.iterations; ++it) {
-    const std::optional<std::size_t> next = churn_gate(rt, s, it);
-    if (!next) return;
-    it = *next;
-    if (!churn_floor_holds(rt, grad, cfg.nps, cfg.nps + cfg.nw, it,
-                           "worker") ||
-        !churn_floor_holds(rt, model, 0, cfg.nps, it, "server"))
-      return;
-    const std::vector<Payload> grads = server.get_gradients(it, qw);
-    if (s == 0) rt.reporting_gradient_counts.push_back(grads.size());
-    if (grads.size() >= grad.min_n) {
-      server.update_model(aggregate(grad.spec, cfg.fw, grads, ctx));
-    }
-    // Publish the post-gradient-step state as this replica's model for
-    // iteration `it`, then pull the peers' same-iteration states; a peer
-    // that has not reached `it` yet answers not-ready and the transport
-    // redelivers — no loop thread ever blocks on a slow replica.
-    server.publish_model(it);
-    std::vector<Payload> models = server.get_models(it, q_peers);
-    models.push_back(server.parameters());
-    if (models.size() >= model.min_n) {
-      server.write_model(aggregate(model.spec, cfg.fps, models, ctx));
-    }
-    if (s == 0) {
-      maybe_eval(rt, s, it);
-      maybe_alignment(rt, correct_servers, it);
-      maybe_checkpoint(rt, s, it);
-    }
-  }
-}
-
-void decentralized_loop(Runtime& rt, std::size_t s) {
-  const DeploymentConfig& cfg = rt.config;
-  Server& server = *rt.servers[s];
-  const std::size_t q = cfg.nw - cfg.fw;  // n - f throughout (Listing 3)
-  const GarPlan grad = plan_gar(cfg.gradient_gar, cfg.fw);
-  const GarPlan model = plan_gar(cfg.model_gar, cfg.fw);
-  gars::AggregationContext& ctx = server.aggregation_context();
-  // Gossip tags encode (iteration, contraction round) in one integer so
-  // both the publisher and the puller of a contract() round agree on what
-  // "round r of iteration t" means.
-  const std::size_t rounds = cfg.contraction_steps;
-  const auto gossip_tag = [rounds](std::size_t it, std::size_t r) {
-    return std::uint64_t(it) * std::uint64_t(rounds) + std::uint64_t(r);
-  };
-  for (std::size_t it = 0; it < cfg.iterations; ++it) {
-    const std::optional<std::size_t> next = churn_gate(rt, s, it);
-    if (!next) return;
-    it = *next;
-    if (!churn_floor_holds(rt, grad, 0, cfg.nw, it, "peer") ||
-        !churn_floor_holds(rt, model, 0, cfg.nw, it, "peer"))
-      return;
-    const std::vector<Payload> grads = server.get_gradients(it, q);
-    if (s == 0) rt.reporting_gradient_counts.push_back(grads.size());
-    if (grads.size() < grad.min_n) {
-      // Skipping the iteration must not wedge the peers: publish explicit
-      // "no contribution" markers for every gossip round and the unchanged
-      // model, so their tagged pulls resolve instead of retrying into
-      // their deadline.
-      for (std::size_t step = 0; step < rounds; ++step)
-        server.skip_aggr_grad(gossip_tag(it, step));
-      server.publish_model(it);
-      continue;
-    }
-    Payload aggr = aggregate(grad.spec, cfg.fw, grads, ctx);
-    // contract(): multi-round gossip forcing correct nodes together.
-    // Listing 3 enables it for non-iid data; it is keyed on the step
-    // count here so the ablation can isolate its effect.
-    for (std::size_t step = 0; step < rounds; ++step) {
-      server.publish_aggr_grad(gossip_tag(it, step), aggr);
-      std::vector<Payload> peer_grads =
-          server.get_aggr_grads(gossip_tag(it, step), q - 1, it);
-      peer_grads.push_back(aggr);
-      if (peer_grads.size() < grad.min_n) {
-        for (std::size_t rest = step + 1; rest < rounds; ++rest)
-          server.skip_aggr_grad(gossip_tag(it, rest));
-        break;
-      }
-      aggr = aggregate(grad.spec, cfg.fw, peer_grads, ctx);
-    }
-    server.update_model(aggr);
-    server.publish_model(it);
-    std::vector<Payload> models = server.get_models(it, q - 1);
-    models.push_back(server.parameters());
-    if (models.size() >= model.min_n) {
-      server.write_model(aggregate(model.spec, cfg.fw, models, ctx));
-    }
-    if (s == 0) {
-      maybe_eval(rt, s, it);
-      // Inter-peer drift probe: same methodology as the Table-2 server
-      // alignment, applied to the correct peers' model replicas.
-      maybe_alignment(rt, cfg.nw - cfg.fw, it);
-    }
-  }
-}
-
-}  // namespace
-
-namespace detail {
-
-void build_runtime(Runtime& rt) {
-  if (is_decentralized(rt.config)) {
-    build_decentralized(rt);
-  } else {
-    build_parameter_server(rt);
-  }
-  // Install the wire codec on every endpoint before any loop starts: the
-  // whole cluster speaks one codec (mixed-codec clusters are not a thing —
-  // the spec is part of the deployment config every process shares).
-  const net::CodecSpec codec = net::CodecSpec::parse(rt.config.codec);
-  if (!codec.identity()) {
-    for (auto& server : rt.servers) server->set_codec(codec);
-    for (auto& worker : rt.workers) worker->set_codec(codec);
-  }
-}
-
-void register_recovery(Runtime& rt, std::optional<net::NodeId> only_node) {
-  register_recovery_hooks(rt, only_node);
-}
-
-void maybe_resume(Runtime& rt) { resume_replicas(rt); }
-
 void run_loop(Runtime& rt, std::size_t s) {
-  switch (rt.config.deployment) {
-    case Deployment::kVanilla: vanilla_loop(rt, s); break;
-    case Deployment::kCrashTolerant: crash_tolerant_loop(rt, s); break;
-    case Deployment::kSsmw: ssmw_loop(rt, s); break;
-    case Deployment::kMsmw: msmw_loop(rt, s); break;
-    case Deployment::kDecentralized: decentralized_loop(rt, s); break;
+  if (is_decentralized(rt.config)) {
+    decentralized_loop(rt, s);
+  } else {
+    parameter_server_loop(rt, s);
   }
 }
 
@@ -761,32 +716,27 @@ TrainResult harvest(Runtime& rt) {
     result.alignment = std::move(rt.alignment);
   }
 
-  // Reporting replica: server 0, except after a primary crash in the
-  // crash-tolerant protocol, where the next replica takes over (its state
-  // may be behind — the paper's "outdated model" note).
-  result.curve = std::move(rt.curves[0]);
-  if (config.deployment == Deployment::kCrashTolerant &&
-      config.crash_primary_at != 0 && rt.curves.size() > 1) {
-    for (const EvalPoint& p : rt.curves[1]) {
-      if (p.iteration >= config.crash_primary_at) result.curve.push_back(p);
-    }
-    std::sort(result.curve.begin(), result.curve.end(),
-              [](const EvalPoint& a, const EvalPoint& b) {
-                return a.iteration < b.iteration;
-              });
-  }
+  // Each replica's curve holds the iterations it reported; merged in
+  // iteration order they are the run's one curve (after a failover: the
+  // primary's points, then the survivor's).
+  for (const std::vector<EvalPoint>& curve : rt.curves)
+    result.curve.insert(result.curve.end(), curve.begin(), curve.end());
+  std::stable_sort(result.curve.begin(), result.curve.end(),
+                   [](const EvalPoint& a, const EvalPoint& b) {
+                     return a.iteration < b.iteration;
+                   });
+  // The replica that reported the last iteration holds the run's model,
+  // returned bit-exact — the cross-backend parity probe (a TCP run of a
+  // sync deployment must reproduce the in-process model down to the last
+  // float).
+  Server& last = *rt.servers[reporter(rt, config.iterations - 1)];
+  result.final_parameters = last.parameters();
   if (!result.curve.empty()) {
     result.final_accuracy = result.curve.back().accuracy;
     result.final_loss = result.curve.back().loss;
-  } else if (!rt.servers.empty()) {
-    result.final_accuracy = rt.servers[0]->compute_accuracy(rt.test);
-    result.final_loss = rt.servers[0]->compute_loss(rt.test);
-  }
-  // Reporting replica's final model, bit-exact — the cross-backend parity
-  // probe (a TCP run of a sync deployment must reproduce the in-process
-  // model down to the last float).
-  if (!rt.servers.empty()) {
-    result.final_parameters = rt.servers[0]->parameters();
+  } else {
+    result.final_accuracy = last.compute_accuracy(rt.test);
+    result.final_loss = last.compute_loss(rt.test);
   }
   return result;
 }
@@ -802,8 +752,8 @@ TrainResult train(const DeploymentConfig& config) {
   detail::Runtime rt;
   rt.config = config;
   detail::build_runtime(rt);
-  detail::register_recovery(rt);
-  detail::maybe_resume(rt);
+  detail::register_recovery_hooks(rt);
+  detail::resume_replicas(rt);
 
   // Spawn one driving thread per server replica / peer. Byzantine servers
   // run the same loop (their lies live in their RPC handlers).

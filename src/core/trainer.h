@@ -41,7 +41,7 @@ struct AlignmentSample {
 };
 
 struct TrainResult {
-  std::vector<EvalPoint> curve;         ///< reporting replica's probes
+  std::vector<EvalPoint> curve;         ///< each probe by its reporter
   double final_accuracy = 0.0;
   double final_loss = 0.0;
   net::NetStats net_stats;              ///< whole-cluster traffic
@@ -56,8 +56,9 @@ struct TrainResult {
   std::uint64_t gradients_computed = 0;
   std::vector<AlignmentSample> alignment;
   std::size_t iterations_run = 0;
-  /// The reporting replica's (server 0 / peer 0) final parameter vector,
-  /// bit-exact. Sync deployments are bitwise deterministic, so this is the
+  /// Final parameter vector of the replica (or peer) that reported the
+  /// last iteration — server 0 unless the churn schedule has it down then
+  /// — bit-exact. Sync deployments are bitwise deterministic, so this is the
   /// cross-backend parity probe: an `inproc` and a `tcp` run of the same
   /// config must produce identical bytes here.
   net::Payload final_parameters;
@@ -70,12 +71,12 @@ struct TrainResult {
   /// continues unchanged.
   std::uint64_t state_transfers = 0;
   std::uint64_t state_transfer_rejects = 0;
-  /// Gradient replies the reporting replica's pull returned per iteration —
-  /// the live quorum trajectory. Under a churn schedule this is what the
-  /// analytic plane predicts as span - count_down(span, it); compared
-  /// directly in the churn crossval tests. Empty when the reporting
-  /// replica's loop itself was churned past iterations (its counter then
-  /// skips the crash window).
+  /// Gradient replies each iteration's reporting replica pulled, one entry
+  /// per iteration — the live quorum trajectory. Under a churn schedule
+  /// this is what the analytic plane predicts as
+  /// span - count_down(span, it); compared directly in the churn crossval
+  /// tests. An entry stays 0 when no loop ran that iteration as its
+  /// reporter (e.g. a reporter churned past it).
   std::vector<std::size_t> reporting_gradient_counts;
 };
 

@@ -9,15 +9,17 @@
 //
 // Also pinned here: the churn grammar (repeatable clauses, crash/join
 // exclusivity), the shared membership predicates, the step-tagged
-// stale-state rejection a recovering replica relies on, the below-floor
-// loud abort, and the config-time checkpoint requirement for recovering
-// server replicas.
+// stale-state rejection a recovering replica relies on, crash-tolerant
+// failover as a permanent primary crash, the below-floor loud abort, and
+// the config-time checkpoint requirement for recovering server replicas.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <chrono>
+#include <cstring>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -286,6 +288,46 @@ TEST(ChurnLive, MsmwServerRecoveryRestoresBitwiseIdenticalLearning) {
                     "recovery with state transfer is invisible to learning");
 }
 
+TEST(ChurnLive, CrashTolerantSurvivesPrimaryCrash) {
+  // Failover is a churn schedule: the primary crashes for good at K and
+  // the next replica up reports from K on. Crash-tolerant replicas apply
+  // the same averaged gradients to the same initial model, so the
+  // survivor's final model — and the accuracy reported from it — is
+  // bitwise the no-crash run's. The curve points just before K are
+  // timing-dependent (the churn horizon is cluster-wide, and an uncoupled
+  // replica may drive it past K before the primary reaches K), so they
+  // are not compared.
+  constexpr std::size_t kCrashAt = 6;
+  gc::DeploymentConfig cfg = live_ssmw();
+  cfg.deployment = gc::Deployment::kCrashTolerant;
+  cfg.nw = 4;
+  cfg.fw = 0;
+  cfg.nps = 3;
+  cfg.iterations = 12;
+  cfg.eval_every = 3;
+  garfield::tensor::set_parallel_threads(1);
+  const gc::TrainResult ideal = gc::train(cfg);
+  cfg.network = "churn:crash=0,at_iter=" + std::to_string(kCrashAt);
+  ASSERT_NO_THROW(cfg.validate());
+  const gc::TrainResult failover = gc::train(cfg);
+  garfield::tensor::set_parallel_threads(0);
+
+  ASSERT_EQ(failover.final_parameters.size(), ideal.final_parameters.size());
+  EXPECT_EQ(std::memcmp(failover.final_parameters.data(),
+                        ideal.final_parameters.data(),
+                        ideal.final_parameters.size() * sizeof(float)),
+            0)
+      << "failover must report the survivor's model, not the crashed one";
+  EXPECT_EQ(failover.final_accuracy, ideal.final_accuracy);
+  EXPECT_EQ(failover.final_loss, ideal.final_loss);
+  ASSERT_FALSE(failover.curve.empty());
+  EXPECT_EQ(failover.curve.back().iteration, cfg.iterations - 1);
+  ASSERT_EQ(failover.reporting_gradient_counts.size(), cfg.iterations);
+  for (std::size_t it = kCrashAt; it < cfg.iterations; ++it) {
+    EXPECT_EQ(failover.reporting_gradient_counts[it], cfg.nw) << "@" << it;
+  }
+}
+
 TEST(ChurnLive, DecentralizedPeerRecoversThroughTheModelExchange) {
   // Peer 3 crashes over [1, 3) and rejoins without a checkpoint — config
   // validation exempts decentralized peers because the step-tagged model
@@ -326,17 +368,17 @@ TEST(ChurnLive, RecoveredReplicaServesNothingStaleThroughTaggedPulls) {
   // without waiting out the full RPC deadline.
   gn::Cluster::Options opts;
   opts.nodes = 2;
-  gn::Cluster cluster(opts);
+  auto cluster = std::make_unique<gn::Cluster>(opts);
   garfield::tensor::Rng r0(21), r1(21);
-  gc::Server puller(0, cluster, garfield::nn::make_model("tiny_mlp", r0), {},
-                    {}, {1});
-  gc::Server replica(1, cluster, garfield::nn::make_model("tiny_mlp", r1),
+  gc::Server puller(0, *cluster, garfield::nn::make_model("tiny_mlp", r0),
+                    {}, {}, {1});
+  gc::Server replica(1, *cluster, garfield::nn::make_model("tiny_mlp", r1),
                      {}, {}, {0});
   replica.enable_step_tagged_serving(/*models=*/true, /*aggr_grads=*/false);
   const std::vector<gn::NodeId> peers{1};
   const auto pull = [&](std::uint64_t tag) {
-    return cluster.collect(0, peers, gc::kGetModel, tag, nullptr, 1,
-                           std::chrono::milliseconds(150));
+    return cluster->collect(0, peers, gc::kGetModel, tag, nullptr, 1,
+                            std::chrono::milliseconds(150));
   };
 
   // Unpublished tag: not_ready until the collect deadline, empty result.
@@ -352,6 +394,10 @@ TEST(ChurnLive, RecoveredReplicaServesNothingStaleThroughTaggedPulls) {
   EXPECT_TRUE(pull(1).empty());
   replica.publish_model(1);
   EXPECT_EQ(pull(1).size(), 1u);
+  // Tear the cluster down while both servers are alive: its shutdown
+  // flushes redeliveries still queued from the declined pulls, and those
+  // call the servers' handlers.
+  cluster.reset();
 }
 
 // ---------------------------------------------- below-floor loud abort

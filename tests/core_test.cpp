@@ -341,18 +341,6 @@ TEST(Deployments, DecentralizedNonIidWithContraction) {
   EXPECT_GT(result.final_accuracy, 0.4);
 }
 
-TEST(Deployments, CrashTolerantSurvivesPrimaryCrash) {
-  gc::DeploymentConfig cfg = fast_config();
-  cfg.deployment = gc::Deployment::kCrashTolerant;
-  cfg.nw = 4;
-  cfg.nps = 3;
-  cfg.crash_primary_at = 40;
-  const gc::TrainResult result = gc::train(cfg);
-  // Failover replica finishes the run and reaches good accuracy.
-  EXPECT_GT(result.final_accuracy, 0.7);
-  EXPECT_GE(result.curve.back().iteration, cfg.iterations - cfg.eval_every);
-}
-
 TEST(Deployments, MsmwSurvivesByzantineWorkersAndServers) {
   gc::DeploymentConfig cfg = fast_config();
   cfg.deployment = gc::Deployment::kMsmw;

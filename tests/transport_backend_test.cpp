@@ -8,7 +8,7 @@
 // produce byte-identical final parameters, curves, and counters.
 //
 // Pinned here:
-//   - SSMW / MSMW / decentralized parity, each rank its own process
+//   - parity of all five deployment presets, each rank its own process
 //   - crash/recovery over TCP: a `churn:` schedule derived independently
 //     by every process walks the same trajectory as the in-process FSM
 //   - config validation scope limits of the tcp backend
@@ -105,35 +105,26 @@ void expect_bitwise(const gc::TrainResult& inproc, const gc::TrainResult& tcp,
 
 // ------------------------------------------------------------ sync parity
 
-TEST(TransportBackend, SsmwIsBitwiseIdenticalAcrossBackends) {
-  gc::DeploymentConfig cfg = tiny(gc::Deployment::kSsmw);
-  cfg.nw = 3;
-  cfg.fw = 0;
-  cfg.nps = 1;
-  cfg.gradient_gar = "median";
-  const std::optional<gc::TrainResult> tcp = try_tcp(cfg);
-  if (!tcp) GTEST_SKIP() << "garfield_node launcher not built";
-  expect_bitwise(run_inproc(cfg), *tcp, "ssmw");
-}
-
-TEST(TransportBackend, MsmwIsBitwiseIdenticalAcrossBackends) {
-  gc::DeploymentConfig cfg = tiny(gc::Deployment::kMsmw);
-  cfg.nps = 3;
-  cfg.fps = 0;
-  cfg.nw = 3;
-  cfg.fw = 0;
-  const std::optional<gc::TrainResult> tcp = try_tcp(cfg);
-  if (!tcp) GTEST_SKIP() << "garfield_node launcher not built";
-  expect_bitwise(run_inproc(cfg), *tcp, "msmw");
-}
-
-TEST(TransportBackend, DecentralizedIsBitwiseIdenticalAcrossBackends) {
-  gc::DeploymentConfig cfg = tiny(gc::Deployment::kDecentralized);
-  cfg.nw = 3;
-  cfg.fw = 0;
-  const std::optional<gc::TrainResult> tcp = try_tcp(cfg);
-  if (!tcp) GTEST_SKIP() << "garfield_node launcher not built";
-  expect_bitwise(run_inproc(cfg), *tcp, "decentralized");
+TEST(TransportBackend, EveryPresetIsBitwiseIdenticalAcrossBackends) {
+  // The five deployment presets run two loops (parameter-server and
+  // decentralized); each preset must reproduce its in-process run when
+  // every rank is its own process.
+  for (const gc::Deployment deployment :
+       {gc::Deployment::kVanilla, gc::Deployment::kCrashTolerant,
+        gc::Deployment::kSsmw, gc::Deployment::kMsmw,
+        gc::Deployment::kDecentralized}) {
+    gc::DeploymentConfig cfg = tiny(deployment);
+    cfg.nw = 3;
+    cfg.fw = 0;
+    const bool replicated = deployment == gc::Deployment::kCrashTolerant ||
+                            deployment == gc::Deployment::kMsmw;
+    cfg.nps = replicated ? 3 : 1;
+    cfg.gradient_gar = "median";
+    const std::optional<gc::TrainResult> tcp = try_tcp(cfg);
+    if (!tcp) GTEST_SKIP() << "garfield_node launcher not built";
+    const std::string what = gc::to_string(deployment);
+    expect_bitwise(run_inproc(cfg), *tcp, what.c_str());
+  }
 }
 
 // -------------------------------------------------- crash/recovery on TCP
@@ -222,15 +213,28 @@ TEST(TransportBackend, ValidateRejectsWhatTcpCannotHonor) {
   cfg.transport = "tcp";
   EXPECT_NO_THROW(cfg.validate());
   // The alignment probe reads every replica's parameters in one address
-  // space; imperative primary crashes don't propagate across per-process
-  // lifecycle FSMs. Both are inproc-only and must fail loudly at
+  // space, and only rank 0's objects reach the result, so node 0 must be
+  // the replica reporting the last iteration. Both must fail loudly at
   // validate(), not silently diverge at runtime.
   cfg.alignment_every = 2;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.alignment_every = 0;
-  cfg.crash_primary_at = 2;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.crash_primary_at = 0;
+  cfg.network = "churn:crash=0,at_iter=2";
+  try {
+    cfg.validate();
+    FAIL() << "node 0 down at the last iteration must not validate on tcp";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("One honest result"),
+              std::string::npos)
+        << e.what();
+  }
+  // Back up before the last iteration: rank 0 reports it again.
+  cfg.network = "churn:crash=0,at_iter=2,recover_after=2";
+  cfg.checkpoint_path = "ckpt.bin";
+  cfg.checkpoint_every = 1;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.transport = "inproc";
+  cfg.network = "churn:crash=0,at_iter=2";
   EXPECT_NO_THROW(cfg.validate());
 }
 

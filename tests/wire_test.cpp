@@ -3,7 +3,10 @@
 // resume continuity.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -19,7 +22,10 @@ namespace gt = garfield::tensor;
 namespace {
 
 std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  // Per-process names: the suite and its serial twin run concurrently.
+  return (std::filesystem::temp_directory_path() /
+          (std::to_string(::getpid()) + "_" + name))
+      .string();
 }
 
 }  // namespace
@@ -124,36 +130,54 @@ TEST(Checkpoint, LoadMissingFileThrows) {
 }
 
 TEST(Checkpoint, TrainerWritesAndResumes) {
+  // Every parameter-server preset runs the same loop, so every one of them
+  // honours checkpointing: the last save is the reporting replica's final
+  // model at the final iteration.
   const std::string path = temp_path("garfield_ckpt_resume.bin");
-  gc::DeploymentConfig cfg;
-  cfg.deployment = gc::Deployment::kSsmw;
-  cfg.model = "tiny_mlp";
-  cfg.nw = 5;
-  cfg.fw = 1;
-  cfg.gradient_gar = "median";
-  cfg.train_size = 1024;
-  cfg.test_size = 256;
-  cfg.batch_size = 16;
-  cfg.optimizer.lr.gamma0 = 0.1F;
-  cfg.iterations = 80;
-  cfg.eval_every = 0;
-  cfg.seed = 9;
-  cfg.checkpoint_path = path;
-  cfg.checkpoint_every = 40;
-  const gc::TrainResult first = gc::train(cfg);
-  ASSERT_TRUE(std::filesystem::exists(path));
-  const gc::Checkpoint ckpt = gc::load_checkpoint(path);
-  EXPECT_EQ(ckpt.iteration, 80u);
+  for (const gc::Deployment deployment :
+       {gc::Deployment::kVanilla, gc::Deployment::kCrashTolerant,
+        gc::Deployment::kSsmw, gc::Deployment::kMsmw}) {
+    SCOPED_TRACE(gc::to_string(deployment));
+    gc::DeploymentConfig cfg;
+    cfg.deployment = deployment;
+    cfg.model = "tiny_mlp";
+    cfg.nw = 5;
+    cfg.fw = 1;
+    const bool replicated = deployment == gc::Deployment::kCrashTolerant ||
+                            deployment == gc::Deployment::kMsmw;
+    cfg.nps = replicated ? 3 : 1;
+    cfg.gradient_gar = "median";
+    cfg.model_gar = "median";
+    cfg.train_size = 1024;
+    cfg.test_size = 256;
+    cfg.batch_size = 16;
+    cfg.optimizer.lr.gamma0 = 0.1F;
+    cfg.iterations = 80;
+    cfg.eval_every = 0;
+    cfg.seed = 9;
+    cfg.checkpoint_path = path;
+    cfg.checkpoint_every = 40;
+    const gc::TrainResult first = gc::train(cfg);
+    ASSERT_TRUE(std::filesystem::exists(path));
+    const gc::Checkpoint ckpt = gc::load_checkpoint(path);
+    EXPECT_EQ(ckpt.iteration, cfg.iterations);
+    ASSERT_EQ(ckpt.parameters.size(), first.final_parameters.size());
+    EXPECT_EQ(std::memcmp(ckpt.parameters.data(),
+                          first.final_parameters.data(),
+                          ckpt.parameters.size() * sizeof(float)),
+              0);
 
-  // Resume: a short continuation run must not regress below the
-  // checkpointed accuracy (it starts from the saved weights, not scratch).
-  gc::DeploymentConfig resume = cfg;
-  resume.checkpoint_path.clear();
-  resume.checkpoint_every = 0;
-  resume.resume_from = path;
-  resume.iterations = 20;
-  const gc::TrainResult second = gc::train(resume);
-  EXPECT_GT(second.final_accuracy, first.final_accuracy - 0.15);
-  EXPECT_GT(second.final_accuracy, 0.6);
-  std::filesystem::remove(path);
+    // Resume: a short continuation run must not regress below the
+    // checkpointed accuracy (it starts from the saved weights, not
+    // scratch).
+    gc::DeploymentConfig resume = cfg;
+    resume.checkpoint_path.clear();
+    resume.checkpoint_every = 0;
+    resume.resume_from = path;
+    resume.iterations = 20;
+    const gc::TrainResult second = gc::train(resume);
+    EXPECT_GT(second.final_accuracy, first.final_accuracy - 0.15);
+    EXPECT_GT(second.final_accuracy, 0.6);
+    std::filesystem::remove(path);
+  }
 }
