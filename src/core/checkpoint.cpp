@@ -1,5 +1,7 @@
 #include "core/checkpoint.h"
 
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -145,7 +147,12 @@ std::vector<std::uint8_t> unpack_bytes(std::span<const float> carrier,
 
 void save_checkpoint(const std::string& path, const Checkpoint& checkpoint) {
   const std::vector<std::uint8_t> blob = encode_checkpoint_blob(checkpoint);
-  const std::string tmp = path + ".tmp";
+  // Every write gets its own tmp name, so two writers of one path (tcp
+  // ranks saving during a failover, or two threads) never share a tmp file
+  // that one truncates while the other is still filling or renaming it.
+  static std::atomic<std::uint64_t> writes{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(writes.fetch_add(1));
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {

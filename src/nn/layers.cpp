@@ -1,12 +1,24 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 namespace garfield::nn {
 
 using tensor::Shape;
+
+namespace {
+
+// Give a cached buffer `shape`, reallocating only when the shape changed.
+// The contents are stale afterwards; callers overwrite them.
+void reuse(Tensor& buffer, const Shape& shape) {
+  if (buffer.shape() != shape) buffer = Tensor(shape);
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------- Linear
 
@@ -20,21 +32,26 @@ Linear::Linear(std::size_t in_features, std::size_t out_features,
       grad_weight_(Tensor::zeros({out_features, in_features})),
       grad_bias_(Tensor::zeros({out_features})) {}
 
-Tensor Linear::forward(const Tensor& input, bool /*train*/) {
+Tensor Linear::forward(Tensor input, bool /*train*/) {
   assert(input.rank() == 2 && input.dim(1) == in_);
-  input_cache_ = input;
-  Tensor out = tensor::matmul_nt(input, weight_);  // {b,in} x {out,in}^T
-  const std::size_t b = out.dim(0);
+  input_cache_ = std::move(input);
+  const std::size_t b = input_cache_.dim(0);
+  Tensor out({b, out_});
   for (std::size_t i = 0; i < b; ++i)
-    for (std::size_t j = 0; j < out_; ++j) out.at(i, j) += bias_[j];
+    std::copy(bias_.data().begin(), bias_.data().end(),
+              out.data().begin() + long(i * out_));
+  // y = b + x W^T: {b,in} x {out,in}^T.
+  tensor::gemm_nt(b, out_, in_, input_cache_.data().data(),
+                  weight_.data().data(), out.data().data());
   return out;
 }
 
-Tensor Linear::backward(const Tensor& grad_output) {
+Tensor Linear::backward(Tensor grad_output) {
   assert(grad_output.rank() == 2 && grad_output.dim(1) == out_);
-  // dW = dY^T @ X  ({out,b} x {b,in})
-  grad_weight_ += tensor::matmul_tn(grad_output, input_cache_);
   const std::size_t b = grad_output.dim(0);
+  // dW += dY^T @ X  ({out,b} x {b,in})
+  tensor::gemm_tn(out_, in_, b, grad_output.data().data(),
+                  input_cache_.data().data(), grad_weight_.data().data());
   for (std::size_t i = 0; i < b; ++i)
     for (std::size_t j = 0; j < out_; ++j)
       grad_bias_[j] += grad_output.at(i, j);
@@ -48,40 +65,39 @@ std::vector<Param> Linear::params() {
 
 // ---------------------------------------------------------------- ReLU
 
-Tensor ReLU::forward(const Tensor& input, bool /*train*/) {
-  mask_ = Tensor::zeros(input.shape());
-  Tensor out = input;
-  for (std::size_t i = 0; i < out.numel(); ++i) {
-    if (out[i] > 0.0F) {
-      mask_[i] = 1.0F;
-    } else {
-      out[i] = 0.0F;
-    }
+Tensor ReLU::forward(Tensor input, bool /*train*/) {
+  reuse(mask_, input.shape());
+  float* x = input.data().data();
+  float* mask = mask_.data().data();
+  for (std::size_t i = 0; i < input.numel(); ++i) {
+    const bool on = x[i] > 0.0F;
+    mask[i] = on ? 1.0F : 0.0F;
+    x[i] = on ? x[i] : 0.0F;
   }
-  return out;
+  return input;
 }
 
-Tensor ReLU::backward(const Tensor& grad_output) {
+Tensor ReLU::backward(Tensor grad_output) {
   assert(grad_output.numel() == mask_.numel());
-  Tensor grad = grad_output;
-  for (std::size_t i = 0; i < grad.numel(); ++i) grad[i] *= mask_[i];
-  return grad;
+  float* g = grad_output.data().data();
+  const float* mask = mask_.data().data();
+  for (std::size_t i = 0; i < grad_output.numel(); ++i) g[i] *= mask[i];
+  return grad_output;
 }
 
 // ---------------------------------------------------------------- Tanh
 
-Tensor Tanh::forward(const Tensor& input, bool /*train*/) {
-  Tensor out = input;
-  for (std::size_t i = 0; i < out.numel(); ++i) out[i] = std::tanh(out[i]);
-  output_cache_ = out;
-  return out;
+Tensor Tanh::forward(Tensor input, bool /*train*/) {
+  for (std::size_t i = 0; i < input.numel(); ++i)
+    input[i] = std::tanh(input[i]);
+  output_cache_ = input;
+  return input;
 }
 
-Tensor Tanh::backward(const Tensor& grad_output) {
-  Tensor grad = grad_output;
-  for (std::size_t i = 0; i < grad.numel(); ++i)
-    grad[i] *= 1.0F - output_cache_[i] * output_cache_[i];
-  return grad;
+Tensor Tanh::backward(Tensor grad_output) {
+  for (std::size_t i = 0; i < grad_output.numel(); ++i)
+    grad_output[i] *= 1.0F - output_cache_[i] * output_cache_[i];
+  return grad_output;
 }
 
 // ---------------------------------------------------------------- Conv2d
@@ -103,65 +119,60 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
 
 namespace {
 
-// Expand {b, c, h, w} into columns {b*oh*ow, c*k*k}; zero padding.
-Tensor im2col(const Tensor& input, std::size_t kernel, std::size_t stride,
-              std::size_t padding, std::size_t oh, std::size_t ow) {
-  const std::size_t b = input.dim(0), c = input.dim(1), h = input.dim(2),
-                    w = input.dim(3);
-  Tensor cols({b * oh * ow, c * kernel * kernel});
-  const float* in = input.data().data();
-  float* out = cols.data().data();
-  const std::size_t row_len = c * kernel * kernel;
-  for (std::size_t n = 0; n < b; ++n) {
-    for (std::size_t oy = 0; oy < oh; ++oy) {
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        float* row = out + ((n * oh + oy) * ow + ox) * row_len;
-        std::size_t idx = 0;
-        for (std::size_t ch = 0; ch < c; ++ch) {
-          for (std::size_t ky = 0; ky < kernel; ++ky) {
-            const long iy = long(oy * stride + ky) - long(padding);
-            for (std::size_t kx = 0; kx < kernel; ++kx, ++idx) {
-              const long ix = long(ox * stride + kx) - long(padding);
-              if (iy < 0 || ix < 0 || iy >= long(h) || ix >= long(w)) {
-                row[idx] = 0.0F;
-              } else {
-                row[idx] =
-                    in[((n * c + ch) * h + std::size_t(iy)) * w + std::size_t(ix)];
-              }
-            }
-          }
+// [lo, hi): the output positions o whose input position
+// o*stride + tap - padding lies inside [0, size), clamped to [0, out).
+std::pair<std::size_t, std::size_t> valid_range(std::size_t tap,
+                                                std::size_t stride,
+                                                std::size_t padding,
+                                                std::size_t size,
+                                                std::size_t out) {
+  const std::size_t lo =
+      tap >= padding ? 0 : (padding - tap + stride - 1) / stride;
+  const std::size_t hi =
+      size + padding > tap ? (size + padding - tap + stride - 1) / stride : 0;
+  return {std::min(lo, out), std::min(hi, out)};
+}
+
+// One image {c, h, w} to columns {c*k*k, oh*ow}, as in Caffe: row
+// (ch*k + ky)*k + kx holds, at column oy*ow + ox, the input pixel that tap
+// (ky, kx) of output (oy, ox) reads, or 0 in the padding.
+void im2col(const float* image, std::size_t c, std::size_t h, std::size_t w,
+            std::size_t kernel, std::size_t stride, std::size_t padding,
+            std::size_t oh, std::size_t ow, float* cols) {
+  for (std::size_t ch = 0; ch < c; ++ch) {
+    for (std::size_t ky = 0; ky < kernel; ++ky) {
+      const auto [y_lo, y_hi] = valid_range(ky, stride, padding, h, oh);
+      for (std::size_t kx = 0; kx < kernel; ++kx) {
+        const auto [x_lo, x_hi] = valid_range(kx, stride, padding, w, ow);
+        float* row = cols + ((ch * kernel + ky) * kernel + kx) * oh * ow;
+        std::fill(row, row + oh * ow, 0.0F);
+        for (std::size_t oy = y_lo; oy < y_hi; ++oy) {
+          const float* src = image + (ch * h + oy * stride + ky - padding) * w;
+          float* dst = row + oy * ow;
+          for (std::size_t ox = x_lo; ox < x_hi; ++ox)
+            dst[ox] = src[ox * stride + kx - padding];
         }
       }
     }
   }
-  return cols;
 }
 
-// Scatter-add columns back into an image (adjoint of im2col).
-void col2im(const Tensor& cols, std::size_t kernel, std::size_t stride,
-            std::size_t padding, std::size_t oh, std::size_t ow,
-            Tensor& image) {
-  const std::size_t b = image.dim(0), c = image.dim(1), h = image.dim(2),
-                    w = image.dim(3);
-  const float* in = cols.data().data();
-  float* out = image.data().data();
-  const std::size_t row_len = c * kernel * kernel;
-  for (std::size_t n = 0; n < b; ++n) {
-    for (std::size_t oy = 0; oy < oh; ++oy) {
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        const float* row = in + ((n * oh + oy) * ow + ox) * row_len;
-        std::size_t idx = 0;
-        for (std::size_t ch = 0; ch < c; ++ch) {
-          for (std::size_t ky = 0; ky < kernel; ++ky) {
-            const long iy = long(oy * stride + ky) - long(padding);
-            for (std::size_t kx = 0; kx < kernel; ++kx, ++idx) {
-              const long ix = long(ox * stride + kx) - long(padding);
-              if (iy >= 0 && ix >= 0 && iy < long(h) && ix < long(w)) {
-                out[((n * c + ch) * h + std::size_t(iy)) * w +
-                    std::size_t(ix)] += row[idx];
-              }
-            }
-          }
+// Adjoint of im2col: add every column entry back onto the pixel it was
+// read from, in row order, so each pixel's sum has a fixed order.
+void col2im(const float* cols, std::size_t c, std::size_t h, std::size_t w,
+            std::size_t kernel, std::size_t stride, std::size_t padding,
+            std::size_t oh, std::size_t ow, float* image) {
+  for (std::size_t ch = 0; ch < c; ++ch) {
+    for (std::size_t ky = 0; ky < kernel; ++ky) {
+      const auto [y_lo, y_hi] = valid_range(ky, stride, padding, h, oh);
+      for (std::size_t kx = 0; kx < kernel; ++kx) {
+        const auto [x_lo, x_hi] = valid_range(kx, stride, padding, w, ow);
+        const float* row = cols + ((ch * kernel + ky) * kernel + kx) * oh * ow;
+        for (std::size_t oy = y_lo; oy < y_hi; ++oy) {
+          float* dst = image + (ch * h + oy * stride + ky - padding) * w;
+          const float* src = row + oy * ow;
+          for (std::size_t ox = x_lo; ox < x_hi; ++ox)
+            dst[ox * stride + kx - padding] += src[ox];
         }
       }
     }
@@ -170,48 +181,55 @@ void col2im(const Tensor& cols, std::size_t kernel, std::size_t stride,
 
 }  // namespace
 
-Tensor Conv2d::forward(const Tensor& input, bool /*train*/) {
+Tensor Conv2d::forward(Tensor input, bool train) {
   assert(input.rank() == 4 && input.dim(1) == in_ch_);
   input_shape_ = input.shape();
-  const std::size_t b = input.dim(0);
-  const std::size_t oh = out_size(input.dim(2));
-  const std::size_t ow = out_size(input.dim(3));
-  cols_cache_ = im2col(input, kernel_, stride_, padding_, oh, ow);
-  // {b*oh*ow, ckk} x {out_ch, ckk}^T -> {b*oh*ow, out_ch}
-  Tensor prod = tensor::matmul_nt(cols_cache_, weight_);
-  for (std::size_t r = 0; r < prod.dim(0); ++r)
-    for (std::size_t ch = 0; ch < out_ch_; ++ch) prod.at(r, ch) += bias_[ch];
-  // Rearrange {b*oh*ow, out_ch} -> {b, out_ch, oh, ow}.
+  const std::size_t b = input.dim(0), h = input.dim(2), w = input.dim(3);
+  const std::size_t oh = out_size(h), ow = out_size(w);
+  const std::size_t ckk = in_ch_ * kernel_ * kernel_, spatial = oh * ow;
+  // Training keeps every image's columns for backward; evaluation lowers
+  // each image into the same slot.
+  reuse(cols_, {train ? b : 1, ckk, spatial});
   Tensor out({b, out_ch_, oh, ow});
-  for (std::size_t n = 0; n < b; ++n)
-    for (std::size_t oy = 0; oy < oh; ++oy)
-      for (std::size_t ox = 0; ox < ow; ++ox)
-        for (std::size_t ch = 0; ch < out_ch_; ++ch)
-          out.data()[((n * out_ch_ + ch) * oh + oy) * ow + ox] =
-              prod.at((n * oh + oy) * ow + ox, ch);
+  for (std::size_t n = 0; n < b; ++n) {
+    float* cols = cols_.data().data() + (train ? n : 0) * ckk * spatial;
+    im2col(input.data().data() + n * in_ch_ * h * w, in_ch_, h, w, kernel_,
+           stride_, padding_, oh, ow, cols);
+    // Y_n = bias + W cols: {out_ch, ckk} x {ckk, oh*ow}, already NCHW.
+    float* y = out.data().data() + n * out_ch_ * spatial;
+    for (std::size_t ch = 0; ch < out_ch_; ++ch)
+      std::fill(y + ch * spatial, y + (ch + 1) * spatial, bias_[ch]);
+    tensor::gemm_nn(out_ch_, spatial, ckk, weight_.data().data(), cols, y);
+  }
   return out;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
-  const std::size_t b = input_shape_[0];
+Tensor Conv2d::backward(Tensor grad_output) {
+  const std::size_t b = input_shape_[0], h = input_shape_[2],
+                    w = input_shape_[3];
   const std::size_t oh = grad_output.dim(2), ow = grad_output.dim(3);
-  // Back to {b*oh*ow, out_ch} layout.
-  Tensor grad_rows({b * oh * ow, out_ch_});
-  for (std::size_t n = 0; n < b; ++n)
-    for (std::size_t oy = 0; oy < oh; ++oy)
-      for (std::size_t ox = 0; ox < ow; ++ox)
-        for (std::size_t ch = 0; ch < out_ch_; ++ch)
-          grad_rows.at((n * oh + oy) * ow + ox, ch) =
-              grad_output.data()[((n * out_ch_ + ch) * oh + oy) * ow + ox];
-  // dW = dY^T @ cols: {out_ch, b*oh*ow} x {b*oh*ow, ckk}.
-  grad_weight_ += tensor::matmul_tn(grad_rows, cols_cache_);
-  for (std::size_t r = 0; r < grad_rows.dim(0); ++r)
-    for (std::size_t ch = 0; ch < out_ch_; ++ch)
-      grad_bias_[ch] += grad_rows.at(r, ch);
-  // dcols = dY @ W: {b*oh*ow, out_ch} x {out_ch, ckk}.
-  Tensor grad_cols = tensor::matmul(grad_rows, weight_);
+  const std::size_t ckk = in_ch_ * kernel_ * kernel_, spatial = oh * ow;
+  assert(cols_.dim(0) == b);  // backward needs a train=true forward
+  reuse(dcols_, {ckk, spatial});
   Tensor grad_input(input_shape_);
-  col2im(grad_cols, kernel_, stride_, padding_, oh, ow, grad_input);
+  for (std::size_t n = 0; n < b; ++n) {
+    const float* dy = grad_output.data().data() + n * out_ch_ * spatial;
+    const float* cols = cols_.data().data() + n * ckk * spatial;
+    // dW += dY_n cols_n^T: {out_ch, oh*ow} x {ckk, oh*ow}^T.
+    tensor::gemm_nt(out_ch_, ckk, spatial, dy, cols,
+                    grad_weight_.data().data());
+    for (std::size_t ch = 0; ch < out_ch_; ++ch) {
+      float sum = grad_bias_[ch];
+      for (std::size_t s = 0; s < spatial; ++s) sum += dy[ch * spatial + s];
+      grad_bias_[ch] = sum;
+    }
+    // dcols = W^T dY_n: {out_ch, ckk}^T x {out_ch, oh*ow}.
+    dcols_.zero();
+    tensor::gemm_tn(ckk, spatial, out_ch_, weight_.data().data(), dy,
+                    dcols_.data().data());
+    col2im(dcols_.data().data(), in_ch_, h, w, kernel_, stride_, padding_, oh,
+           ow, grad_input.data().data() + n * in_ch_ * h * w);
+  }
   return grad_input;
 }
 
@@ -224,7 +242,7 @@ std::vector<Param> Conv2d::params() {
 MaxPool2d::MaxPool2d(std::size_t kernel, std::size_t stride)
     : kernel_(kernel), stride_(stride) {}
 
-Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
+Tensor MaxPool2d::forward(Tensor input, bool /*train*/) {
   assert(input.rank() == 4);
   input_shape_ = input.shape();
   const std::size_t b = input.dim(0), c = input.dim(1), h = input.dim(2),
@@ -262,7 +280,7 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
   return out;
 }
 
-Tensor MaxPool2d::backward(const Tensor& grad_output) {
+Tensor MaxPool2d::backward(Tensor grad_output) {
   Tensor grad_input(input_shape_);
   for (std::size_t o = 0; o < grad_output.numel(); ++o)
     grad_input[argmax_[o]] += grad_output[o];
@@ -271,56 +289,57 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
 
 // ---------------------------------------------------------------- Flatten
 
-Tensor Flatten::forward(const Tensor& input, bool /*train*/) {
+Tensor Flatten::forward(Tensor input, bool /*train*/) {
   input_shape_ = input.shape();
   const std::size_t b = input.dim(0);
-  return input.reshaped({b, input.numel() / b});
+  input.reshape({b, input.numel() / b});
+  return input;
 }
 
-Tensor Flatten::backward(const Tensor& grad_output) {
-  return grad_output.reshaped(input_shape_);
+Tensor Flatten::backward(Tensor grad_output) {
+  grad_output.reshape(input_shape_);
+  return grad_output;
 }
 
 // ---------------------------------------------------------------- Dropout
 
 Dropout::Dropout(double p, tensor::Rng& rng) : p_(p), rng_(rng.fork(0xd0)) {}
 
-Tensor Dropout::forward(const Tensor& input, bool train) {
+Tensor Dropout::forward(Tensor input, bool train) {
   if (!train || p_ <= 0.0) {
     mask_ = Tensor();
     return input;
   }
   mask_ = Tensor::zeros(input.shape());
-  Tensor out = input;
   const float keep_scale = 1.0F / float(1.0 - p_);
-  for (std::size_t i = 0; i < out.numel(); ++i) {
+  for (std::size_t i = 0; i < input.numel(); ++i) {
     if (rng_.bernoulli(1.0 - p_)) {
       mask_[i] = keep_scale;
-      out[i] *= keep_scale;
+      input[i] *= keep_scale;
     } else {
-      out[i] = 0.0F;
+      input[i] = 0.0F;
     }
   }
-  return out;
+  return input;
 }
 
-Tensor Dropout::backward(const Tensor& grad_output) {
+Tensor Dropout::backward(Tensor grad_output) {
   if (mask_.empty()) return grad_output;
-  Tensor grad = grad_output;
-  for (std::size_t i = 0; i < grad.numel(); ++i) grad[i] *= mask_[i];
-  return grad;
+  for (std::size_t i = 0; i < grad_output.numel(); ++i)
+    grad_output[i] *= mask_[i];
+  return grad_output;
 }
 
 // ---------------------------------------------------------------- Residual
 
-Tensor Residual::forward(const Tensor& input, bool train) {
+Tensor Residual::forward(Tensor input, bool train) {
   Tensor out = inner_->forward(input, train);
   assert(out.shape() == input.shape());
   out += input;
   return out;
 }
 
-Tensor Residual::backward(const Tensor& grad_output) {
+Tensor Residual::backward(Tensor grad_output) {
   Tensor grad = inner_->backward(grad_output);
   grad += grad_output;  // the skip path
   return grad;
@@ -328,7 +347,7 @@ Tensor Residual::backward(const Tensor& grad_output) {
 
 // ------------------------------------------------------------ ChannelConcat
 
-Tensor ChannelConcat::forward(const Tensor& input, bool train) {
+Tensor ChannelConcat::forward(Tensor input, bool train) {
   assert(input.rank() == 4);
   input_shape_ = input.shape();
   std::vector<Tensor> outputs;
@@ -362,7 +381,7 @@ Tensor ChannelConcat::forward(const Tensor& input, bool train) {
   return result;
 }
 
-Tensor ChannelConcat::backward(const Tensor& grad_output) {
+Tensor ChannelConcat::backward(Tensor grad_output) {
   const std::size_t b = grad_output.dim(0);
   const std::size_t total_channels = grad_output.dim(1);
   const std::size_t h = grad_output.dim(2), w = grad_output.dim(3);
@@ -378,7 +397,7 @@ Tensor ChannelConcat::backward(const Tensor& grad_output) {
                     long(((n * total_channels) + channel_offset + c) * h * w),
                 branch_grad.data().begin() + long(n * c * h * w));
     }
-    grad_input += branches_[k]->backward(branch_grad);
+    grad_input += branches_[k]->backward(std::move(branch_grad));
     channel_offset += c;
   }
   return grad_input;
@@ -395,17 +414,15 @@ std::vector<Param> ChannelConcat::params() {
 
 // ---------------------------------------------------------------- Sequential
 
-Tensor Sequential::forward(const Tensor& input, bool train) {
-  Tensor x = input;
-  for (ModulePtr& m : modules_) x = m->forward(x, train);
-  return x;
+Tensor Sequential::forward(Tensor input, bool train) {
+  for (ModulePtr& m : modules_) input = m->forward(std::move(input), train);
+  return input;
 }
 
-Tensor Sequential::backward(const Tensor& grad_output) {
-  Tensor g = grad_output;
+Tensor Sequential::backward(Tensor grad_output) {
   for (auto it = modules_.rbegin(); it != modules_.rend(); ++it)
-    g = (*it)->backward(g);
-  return g;
+    grad_output = (*it)->backward(std::move(grad_output));
+  return grad_output;
 }
 
 std::vector<Param> Sequential::params() {

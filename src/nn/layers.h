@@ -15,8 +15,8 @@ class Linear : public Module {
  public:
   Linear(std::size_t in_features, std::size_t out_features, tensor::Rng& rng);
 
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor forward(Tensor input, bool train) override;
+  Tensor backward(Tensor grad_output) override;
   std::vector<Param> params() override;
   [[nodiscard]] std::string name() const override { return "Linear"; }
 
@@ -33,35 +33,38 @@ class Linear : public Module {
 /// Rectified linear unit, elementwise.
 class ReLU : public Module {
  public:
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor forward(Tensor input, bool train) override;
+  Tensor backward(Tensor grad_output) override;
   [[nodiscard]] std::string name() const override { return "ReLU"; }
 
  private:
-  Tensor mask_;
+  Tensor mask_;  // 1 where the input was positive, else 0; reused
 };
 
 /// Hyperbolic tangent, elementwise.
 class Tanh : public Module {
  public:
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor forward(Tensor input, bool train) override;
+  Tensor backward(Tensor grad_output) override;
   [[nodiscard]] std::string name() const override { return "Tanh"; }
 
  private:
   Tensor output_cache_;
 };
 
-/// 2-D convolution over {batch, in_ch, h, w} inputs, implemented with
-/// im2col + GEMM (the standard framework lowering).
+/// 2-D convolution over {batch, in_ch, h, w} inputs, lowered one image at
+/// a time as in Caffe: im2col fills {in_ch*k*k, oh*ow} columns and one
+/// GEMM with the {out_ch, in_ch*k*k} weights writes the image's NCHW
+/// output. backward() needs a forward() with train=true: evaluation keeps
+/// only one image's columns.
 class Conv2d : public Module {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels,
          std::size_t kernel, std::size_t stride, std::size_t padding,
          tensor::Rng& rng);
 
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor forward(Tensor input, bool train) override;
+  Tensor backward(Tensor grad_output) override;
   std::vector<Param> params() override;
   [[nodiscard]] std::string name() const override { return "Conv2d"; }
 
@@ -73,7 +76,8 @@ class Conv2d : public Module {
   std::size_t in_ch_, out_ch_, kernel_, stride_, padding_;
   Tensor weight_, bias_;  // {out_ch, in_ch*k*k}, {out_ch}
   Tensor grad_weight_, grad_bias_;
-  Tensor cols_cache_;     // im2col buffer from forward
+  Tensor cols_;   // {b, ckk, oh*ow} columns of every image, reused
+  Tensor dcols_;  // {ckk, oh*ow} one image's column gradient, reused
   tensor::Shape input_shape_;
 };
 
@@ -82,8 +86,8 @@ class MaxPool2d : public Module {
  public:
   MaxPool2d(std::size_t kernel, std::size_t stride);
 
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor forward(Tensor input, bool train) override;
+  Tensor backward(Tensor grad_output) override;
   [[nodiscard]] std::string name() const override { return "MaxPool2d"; }
 
  private:
@@ -95,8 +99,8 @@ class MaxPool2d : public Module {
 /// Collapse all non-batch dimensions: {b, ...} -> {b, prod(...)}.
 class Flatten : public Module {
  public:
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor forward(Tensor input, bool train) override;
+  Tensor backward(Tensor grad_output) override;
   [[nodiscard]] std::string name() const override { return "Flatten"; }
 
  private:
@@ -108,8 +112,8 @@ class Dropout : public Module {
  public:
   Dropout(double p, tensor::Rng& rng);
 
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor forward(Tensor input, bool train) override;
+  Tensor backward(Tensor grad_output) override;
   [[nodiscard]] std::string name() const override { return "Dropout"; }
 
  private:
@@ -124,8 +128,8 @@ class Residual : public Module {
  public:
   explicit Residual(ModulePtr inner) : inner_(std::move(inner)) {}
 
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor forward(Tensor input, bool train) override;
+  Tensor backward(Tensor grad_output) override;
   std::vector<Param> params() override { return inner_->params(); }
   [[nodiscard]] std::string name() const override { return "Residual"; }
 
@@ -141,8 +145,8 @@ class ChannelConcat : public Module {
   explicit ChannelConcat(std::vector<ModulePtr> branches)
       : branches_(std::move(branches)) {}
 
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor forward(Tensor input, bool train) override;
+  Tensor backward(Tensor grad_output) override;
   std::vector<Param> params() override;
   [[nodiscard]] std::string name() const override { return "ChannelConcat"; }
 
@@ -159,8 +163,8 @@ class Sequential : public Module {
 
   void push(ModulePtr module) { modules_.push_back(std::move(module)); }
 
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor forward(Tensor input, bool train) override;
+  Tensor backward(Tensor grad_output) override;
   std::vector<Param> params() override;
   [[nodiscard]] std::string name() const override { return "Sequential"; }
 

@@ -49,7 +49,7 @@ GradientResult Model::gradient(const Tensor& inputs,
   zero_grad();
   const Tensor logits = net_->forward(inputs, /*train=*/true);
   LossResult loss = loss_fn_.compute(logits, labels);
-  net_->backward(loss.grad);
+  net_->backward(std::move(loss.grad));
   GradientResult result;
   result.loss = loss.value;
   result.gradient.reserve(dimension_);
@@ -57,7 +57,6 @@ GradientResult Model::gradient(const Tensor& inputs,
     std::span<const float> g = p.grad->data();
     result.gradient.insert(result.gradient.end(), g.begin(), g.end());
   }
-  zero_grad();
   return result;
 }
 

@@ -51,7 +51,7 @@ class Model {
   void set_parameters(std::span<const float> flat);
 
   /// Forward + loss + backward on one batch; returns the flat gradient.
-  /// Leaves layer gradients zeroed for the next call.
+  /// Zeroes the layer gradients first, so no earlier call leaks in.
   [[nodiscard]] GradientResult gradient(const Tensor& inputs,
                                         const std::vector<std::size_t>& labels);
 

@@ -28,6 +28,10 @@ struct Param {
 /// backward() with dL/d(output) returns dL/d(input) and accumulates dL/dW
 /// into each Param::grad. Layers are stateful and not reentrant, matching
 /// the one-batch-at-a-time training loop of the paper's workers.
+///
+/// Both take their tensor by value: a caller that moves it in (Sequential
+/// does) lets elementwise layers work in place and lets Linear keep its
+/// input for backward, with no copy and no new buffer.
 class Module {
  public:
   virtual ~Module() = default;
@@ -36,8 +40,8 @@ class Module {
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;
 
-  virtual Tensor forward(const Tensor& input, bool train) = 0;
-  virtual Tensor backward(const Tensor& grad_output) = 0;
+  virtual Tensor forward(Tensor input, bool train) = 0;
+  virtual Tensor backward(Tensor grad_output) = 0;
 
   /// Learnable parameters in a fixed, deterministic order.
   virtual std::vector<Param> params() { return {}; }

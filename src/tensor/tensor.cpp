@@ -64,15 +64,18 @@ float Tensor::at(std::size_t r, std::size_t c) const {
 }
 
 Tensor Tensor::reshaped(Shape shape) const {
+  Tensor t = *this;
+  t.reshape(std::move(shape));
+  return t;
+}
+
+void Tensor::reshape(Shape shape) {
   if (shape_numel(shape) != numel()) {
-    throw std::invalid_argument("Tensor::reshaped: numel mismatch " +
+    throw std::invalid_argument("Tensor::reshape: numel mismatch " +
                                 shape_to_string(shape_) + " -> " +
                                 shape_to_string(shape));
   }
-  Tensor t;
-  t.shape_ = std::move(shape);
-  t.data_ = data_;
-  return t;
+  shape_ = std::move(shape);
 }
 
 void Tensor::fill(float v) { std::fill(data_.begin(), data_.end(), v); }
@@ -111,53 +114,77 @@ std::size_t Tensor::argmax() const {
       data_.begin(), std::max_element(data_.begin(), data_.end())));
 }
 
+namespace {
+
+// c {m,n} += A·b, where A(i,p) = a[i*a_row + p*a_col] and b is {k,n}.
+// Each c(i,j) is summed in ascending p, one product at a time. Four rows
+// of b are applied per sweep of the c row, so it is loaded and stored a
+// quarter as often; the inner loop runs across j, so vectorizing it keeps
+// every element's order as written.
+void gemm_rows(std::size_t m, std::size_t n, std::size_t k, const float* a,
+               std::size_t a_row, std::size_t a_col, const float* b,
+               float* c) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* arow = a + i * a_row;
+    float* crow = c + i * n;
+    std::size_t p = 0;
+    for (; p + 4 <= k; p += 4) {
+      const float a0 = arow[p * a_col], a1 = arow[(p + 1) * a_col],
+                  a2 = arow[(p + 2) * a_col], a3 = arow[(p + 3) * a_col];
+      const float* b0 = b + p * n;
+      const float* b1 = b0 + n;
+      const float* b2 = b1 + n;
+      const float* b3 = b2 + n;
+      for (std::size_t j = 0; j < n; ++j)
+        crow[j] = (((crow[j] + a0 * b0[j]) + a1 * b1[j]) + a2 * b2[j]) +
+                  a3 * b3[j];
+    }
+    for (; p < k; ++p) {
+      const float ap = arow[p * a_col];
+      const float* bp = b + p * n;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += ap * bp[j];
+    }
+  }
+}
+
+// Dot product of two contiguous rows in the order gemm_nt documents.
+float dot_rows(const float* x, const float* y, std::size_t k) {
+  float lane[8] = {};
+  std::size_t p = 0;
+  for (; p + 8 <= k; p += 8)
+    for (std::size_t l = 0; l < 8; ++l) lane[l] += x[p + l] * y[p + l];
+  float sum = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+              ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+  for (; p < k; ++p) sum += x[p] * y[p];
+  return sum;
+}
+
+}  // namespace
+
+void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* a,
+             const float* b, float* c) {
+  gemm_rows(m, n, k, a, k, 1, b, c);
+}
+
+void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const float* a,
+             const float* b, float* c) {
+  gemm_rows(m, n, k, a, 1, m, b, c);
+}
+
+void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* a,
+             const float* b, float* c) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* arow = a + i * k;
+    float* crow = c + i * n;
+    for (std::size_t j = 0; j < n; ++j) crow[j] += dot_rows(arow, b + j * k, k);
+  }
+}
+
 Tensor matmul(const Tensor& a, const Tensor& b) {
   assert(a.rank() == 2 && b.rank() == 2 && a.dim(1) == b.dim(0));
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor out({m, n});
-  // ikj loop order: streams through b row-wise, cache friendly.
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t p = 0; p < k; ++p) {
-      const float av = a.data()[i * k + p];
-      if (av == 0.0F) continue;
-      const float* brow = b.data().data() + p * n;
-      float* orow = out.data().data() + i * n;
-      for (std::size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-    }
-  }
-  return out;
-}
-
-Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  assert(a.rank() == 2 && b.rank() == 2 && a.dim(1) == b.dim(1));
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
-  Tensor out({m, n});
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = a.data().data() + i * k;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* brow = b.data().data() + j * k;
-      double acc = 0.0;
-      for (std::size_t p = 0; p < k; ++p) acc += double(arow[p]) * brow[p];
-      out.at(i, j) = float(acc);
-    }
-  }
-  return out;
-}
-
-Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  assert(a.rank() == 2 && b.rank() == 2 && a.dim(0) == b.dim(0));
-  const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
-  Tensor out({m, n});
-  for (std::size_t p = 0; p < k; ++p) {
-    const float* arow = a.data().data() + p * m;
-    const float* brow = b.data().data() + p * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0F) continue;
-      float* orow = out.data().data() + i * n;
-      for (std::size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-    }
-  }
+  Tensor out({a.dim(0), b.dim(1)});
+  gemm_nn(a.dim(0), b.dim(1), a.dim(1), a.data().data(), b.data().data(),
+          out.data().data());
   return out;
 }
 

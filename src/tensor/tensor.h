@@ -58,6 +58,8 @@ class Tensor {
 
   /// Reinterpret the same storage with a new shape of identical numel.
   [[nodiscard]] Tensor reshaped(Shape shape) const;
+  /// reshaped() in place, without copying the storage.
+  void reshape(Shape shape);
 
   void fill(float v);
   void zero() { fill(0.0F); }
@@ -77,14 +79,33 @@ class Tensor {
   std::vector<float> data_;
 };
 
-/// out = a @ b for rank-2 tensors: (m,k) x (k,n) -> (m,n).
+// GEMM kernels on raw row-major storage. Each one accumulates into c
+// (c += ...), so a caller can pre-fill c with a bias or a running sum.
+// Every output element is summed in an order spelled out in tensor.cpp,
+// never left to the compiler: the vectorized loops run across independent
+// outputs or across fixed partial sums, so the result does not depend on
+// the vector width of the build target. The kernels are single-threaded;
+// callers already run one gradient per pool thread.
+
+/// c {m,n} += a {m,k} · b {k,n}. Each c(i,j) adds a(i,p)·b(p,j) one at a
+/// time in ascending p, starting from its previous value.
+void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* a,
+             const float* b, float* c);
+
+/// c {m,n} += a {m,k} · b {n,k}^T. Each c(i,j) adds one dot product of two
+/// contiguous rows, summed as eight interleaved partial sums (lane p mod 8)
+/// over the whole blocks of eight, reduced pairwise, then the tail in
+/// ascending p.
+void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* a,
+             const float* b, float* c);
+
+/// c {m,n} += a {k,m}^T · b {k,n}. Same order as gemm_nn.
+void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const float* a,
+             const float* b, float* c);
+
+/// out = a @ b for rank-2 tensors: (m,k) x (k,n) -> (m,n). Summed as
+/// gemm_nn from zero; data::make_teacher_dataset depends on this order.
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// out = a @ b^T: (m,k) x (n,k) -> (m,n). Hot kernel for Linear backward.
-[[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b);
-
-/// out = a^T @ b: (k,m) x (k,n) -> (m,n).
-[[nodiscard]] Tensor matmul_tn(const Tensor& a, const Tensor& b);
 
 /// Rank-2 transpose.
 [[nodiscard]] Tensor transpose(const Tensor& a);

@@ -3,6 +3,7 @@
 // mixed-up blobs must be rejected, never silently trained on.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <vector>
 
 #include "core/checkpoint.h"
 #include "net/wire.h"
@@ -35,6 +37,16 @@ class CheckpointRoundTrip : public ::testing::Test {
 
   [[nodiscard]] std::string path(const char* name) const {
     return (dir_ / name).string();
+  }
+
+  /// True when some `<target>.tmp*` file is left in the test directory.
+  [[nodiscard]] bool tmp_left_for(const std::string& target) const {
+    const std::string prefix =
+        std::filesystem::path(target).filename().string() + ".tmp";
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      if (entry.path().filename().string().starts_with(prefix)) return true;
+    }
+    return false;
   }
 
   [[nodiscard]] static FlatVector random_vector(std::size_t d,
@@ -188,7 +200,43 @@ TEST_F(CheckpointRoundTrip, SaveLeavesNoTempFileBehind) {
   original.parameters = random_vector(8, 11);
   gc::save_checkpoint(path("atomic.ckpt"), original);
   EXPECT_TRUE(std::filesystem::exists(path("atomic.ckpt")));
-  EXPECT_FALSE(std::filesystem::exists(path("atomic.ckpt") + ".tmp"));
+  EXPECT_FALSE(tmp_left_for(path("atomic.ckpt")));
+}
+
+TEST_F(CheckpointRoundTrip, TwoProcessesSavingOnePathNeverTearIt) {
+  // Two tcp ranks may checkpoint to the same path during a failover. Each
+  // writer must use its own tmp file: with a shared one, a writer can
+  // rename the other's half-written bytes into place.
+  const std::string target = path("shared.ckpt");
+  gc::Checkpoint a, b;
+  a.iteration = 1;
+  a.parameters = random_vector(4096, 21);
+  b.iteration = 2;
+  b.parameters = random_vector(4096, 22);
+  std::vector<pid_t> children;
+  for (const gc::Checkpoint* mine : {&a, &b}) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      int status = 0;
+      try {
+        for (int i = 0; i < 40; ++i) gc::save_checkpoint(target, *mine);
+      } catch (...) {
+        status = 1;
+      }
+      ::_exit(status);
+    }
+    children.push_back(pid);
+  }
+  for (const pid_t pid : children) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  }
+  const gc::Checkpoint loaded = gc::load_checkpoint(target);
+  const gc::Checkpoint& expected = loaded.iteration == 1 ? a : b;
+  EXPECT_EQ(loaded.parameters, expected.parameters);
+  EXPECT_FALSE(tmp_left_for(target));
 }
 
 TEST_F(CheckpointRoundTrip, MissingFileThrowsRuntimeError) {
@@ -409,5 +457,5 @@ TEST_F(CheckpointRoundTrip, RenameFailureThrowsAndCleansUpTheTempFile) {
   ckpt.iteration = 2;
   ckpt.parameters = random_vector(8, 17);
   EXPECT_THROW(gc::save_checkpoint(target, ckpt), std::runtime_error);
-  EXPECT_FALSE(std::filesystem::exists(target + ".tmp"));
+  EXPECT_FALSE(tmp_left_for(target));
 }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include "data/dataset.h"
@@ -9,6 +10,30 @@
 
 namespace gd = garfield::data;
 namespace gt = garfield::tensor;
+
+namespace {
+
+/// FNV-1a over a dataset's input bytes, then its labels as 64-bit values:
+/// any change to a generated value or label changes the digest.
+std::uint64_t dataset_digest(const gd::Dataset& ds) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h ^= bytes[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const gd::Batch all = ds.all();
+  mix(all.inputs.data().data(), all.inputs.numel() * sizeof(float));
+  for (std::size_t label : all.labels) {
+    const std::uint64_t wide = label;
+    mix(&wide, sizeof wide);
+  }
+  return h;
+}
+
+}  // namespace
 
 TEST(Dataset, ConstructionValidatesShapes) {
   gt::Tensor inputs({4, 3});
@@ -176,4 +201,23 @@ TEST(BatchSampler, DeterministicInSeed) {
   EXPECT_EQ(a.labels, b.labels);
   for (std::size_t i = 0; i < a.inputs.numel(); ++i)
     EXPECT_EQ(a.inputs[i], b.inputs[i]);
+}
+
+TEST(DatasetPin, TrainerDrawsForSeedOneAreUnchanged) {
+  // The trainer's draw for seed 1 with the default sizes (train 2048 +
+  // test 512): `cluster` for mnist_cnn and `teacher` for small_mlp, whose
+  // labels come from tensor::matmul. A kernel change must not move the
+  // workloads' data, nor the accuracy calibrated on it. The digests hold
+  // for libstdc++'s normal distribution and glibc's tanh; if either
+  // changes, recompute them from the commit that last passed.
+  gt::Rng cluster_root(1);
+  gt::Rng cluster_rng = cluster_root.fork(2);
+  const gd::Dataset cluster = gd::make_cluster_dataset(
+      {1, 16, 16}, 10, 2048 + 512, cluster_rng, 1.0F);
+  EXPECT_EQ(dataset_digest(cluster), 0xf34b63cb94bd135fULL);
+  gt::Rng teacher_root(1);
+  gt::Rng teacher_rng = teacher_root.fork(2);
+  const gd::Dataset teacher =
+      gd::make_teacher_dataset({64}, 10, 2048 + 512, teacher_rng);
+  EXPECT_EQ(dataset_digest(teacher), 0x64919cc9e9cbdd85ULL);
 }

@@ -191,6 +191,113 @@ TEST(Dropout, TrainModeZeroesSome) {
   EXPECT_LT(zeros, 192u);
 }
 
+// ------------------------------------------------- Conv2d reference sweep
+
+struct ConvCase {
+  std::size_t batch, in_ch, out_ch, kernel, stride, padding, h, w;
+};
+
+class ConvSweep : public ::testing::TestWithParam<ConvCase> {};
+
+namespace {
+
+/// Direct convolution in double, forward and backward: every (output, tap)
+/// pair visited once, with no lowering. The obviously-correct reference
+/// for the per-image im2col + GEMM implementation. Returns y and fills the
+/// three gradients for the upstream gradient dy.
+gt::Tensor conv_reference(const ConvCase& c, const gt::Tensor& x,
+                          const gt::Tensor& weight, const gt::Tensor& bias,
+                          const gt::Tensor& dy, std::vector<double>& dx,
+                          std::vector<double>& dw, std::vector<double>& db) {
+  const std::size_t oh = (c.h + 2 * c.padding - c.kernel) / c.stride + 1;
+  const std::size_t ow = (c.w + 2 * c.padding - c.kernel) / c.stride + 1;
+  gt::Tensor y({c.batch, c.out_ch, oh, ow});
+  dx.assign(x.numel(), 0.0);
+  dw.assign(weight.numel(), 0.0);
+  db.assign(bias.numel(), 0.0);
+  for (std::size_t n = 0; n < c.batch; ++n) {
+    for (std::size_t oc = 0; oc < c.out_ch; ++oc) {
+      for (std::size_t oy = 0; oy < oh; ++oy) {
+        for (std::size_t ox = 0; ox < ow; ++ox) {
+          const std::size_t yi = ((n * c.out_ch + oc) * oh + oy) * ow + ox;
+          double acc = bias[oc];
+          db[oc] += dy[yi];
+          for (std::size_t ic = 0; ic < c.in_ch; ++ic) {
+            for (std::size_t ky = 0; ky < c.kernel; ++ky) {
+              for (std::size_t kx = 0; kx < c.kernel; ++kx) {
+                const long iy = long(oy * c.stride + ky) - long(c.padding);
+                const long ix = long(ox * c.stride + kx) - long(c.padding);
+                if (iy < 0 || ix < 0 || iy >= long(c.h) || ix >= long(c.w))
+                  continue;
+                const std::size_t xi =
+                    ((n * c.in_ch + ic) * c.h + std::size_t(iy)) * c.w +
+                    std::size_t(ix);
+                const std::size_t wi =
+                    ((oc * c.in_ch + ic) * c.kernel + ky) * c.kernel + kx;
+                acc += double(x[xi]) * weight[wi];
+                dx[xi] += double(weight[wi]) * dy[yi];
+                dw[wi] += double(x[xi]) * dy[yi];
+              }
+            }
+          }
+          y[yi] = float(acc);
+        }
+      }
+    }
+  }
+  return y;
+}
+
+}  // namespace
+
+TEST_P(ConvSweep, MatchesDirectConvolutionForwardAndBackward) {
+  const ConvCase& c = GetParam();
+  gt::Rng rng(31);
+  nn::Conv2d conv(c.in_ch, c.out_ch, c.kernel, c.stride, c.padding, rng);
+  auto params = conv.params();
+  *params[1].value = gt::Tensor::randn(params[1].value->shape(), rng);
+  const gt::Tensor x = gt::Tensor::randn({c.batch, c.in_ch, c.h, c.w}, rng);
+  const gt::Tensor y = conv.forward(x, true);
+  const gt::Tensor dy = gt::Tensor::randn(y.shape(), rng);
+  const gt::Tensor dx = conv.backward(dy);
+  std::vector<double> ref_dx, ref_dw, ref_db;
+  const gt::Tensor ref_y = conv_reference(c, x, *params[0].value,
+                                          *params[1].value, dy, ref_dx,
+                                          ref_dw, ref_db);
+  ASSERT_EQ(y.shape(), ref_y.shape());
+  ASSERT_EQ(dx.shape(), x.shape());
+  for (std::size_t i = 0; i < y.numel(); ++i)
+    EXPECT_NEAR(y[i], ref_y[i], 1e-4) << "y " << i;
+  for (std::size_t i = 0; i < dx.numel(); ++i)
+    EXPECT_NEAR(dx[i], ref_dx[i], 1e-4) << "dx " << i;
+  for (std::size_t i = 0; i < ref_dw.size(); ++i)
+    EXPECT_NEAR((*params[0].grad)[i], ref_dw[i], 1e-3) << "dw " << i;
+  for (std::size_t i = 0; i < ref_db.size(); ++i)
+    EXPECT_NEAR((*params[1].grad)[i], ref_db[i], 1e-3) << "db " << i;
+}
+
+// Every case has batch > 1, so the per-image lowering must keep images
+// apart; most have several input channels.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ConvSweep,
+    ::testing::Values(ConvCase{2, 1, 1, 1, 1, 0, 5, 5},
+                      ConvCase{2, 1, 4, 3, 1, 1, 8, 8},
+                      ConvCase{2, 3, 2, 3, 1, 0, 7, 7},
+                      ConvCase{2, 2, 3, 3, 2, 1, 9, 9},
+                      ConvCase{2, 4, 4, 5, 1, 2, 8, 8},
+                      ConvCase{2, 2, 2, 3, 3, 0, 10, 10},
+                      ConvCase{2, 1, 8, 3, 2, 1, 6, 9},  // non-square input
+                      ConvCase{3, 3, 4, 3, 2, 0, 9, 9},  // stride 2, no pad
+                      ConvCase{3, 5, 3, 1, 1, 0, 4, 4},  // inception 1x1
+                      ConvCase{2, 3, 2, 5, 3, 2, 11, 10}),
+    [](const ::testing::TestParamInfo<ConvCase>& info) {
+      const ConvCase& c = info.param;
+      return "b" + std::to_string(c.batch) + "c" + std::to_string(c.in_ch) +
+             "o" + std::to_string(c.out_ch) + "k" + std::to_string(c.kernel) +
+             "s" + std::to_string(c.stride) + "p" + std::to_string(c.padding) +
+             "h" + std::to_string(c.h) + "w" + std::to_string(c.w);
+    });
+
 // ------------------------------------------------------------------ loss
 
 TEST(SoftmaxCrossEntropy, UniformLogitsGiveLogC) {
@@ -269,6 +376,35 @@ TEST(GradCheck, ConvPoolModel) {
   nn::Model model("cnn", std::move(net), {1, 6, 6}, 4);
   gt::Tensor x = gt::Tensor::randn({2, 1, 6, 6}, rng);
   check_model_gradient(model, x, {0, 2}, 3e-3);
+}
+
+TEST(GradCheck, ConvWithSeveralInputChannels) {
+  gt::Rng rng(24);
+  auto net = std::make_unique<nn::Sequential>();
+  net->push(std::make_unique<nn::Conv2d>(3, 4, 3, 1, 1, rng));
+  net->push(std::make_unique<nn::ReLU>());
+  net->push(std::make_unique<nn::Conv2d>(4, 2, 1, 1, 0, rng));
+  net->push(std::make_unique<nn::Flatten>());
+  net->push(std::make_unique<nn::Linear>(2 * 5 * 5, 3, rng));
+  nn::Model model("cnn3", std::move(net), {3, 5, 5}, 3);
+  gt::Tensor x = gt::Tensor::randn({2, 3, 5, 5}, rng);
+  check_model_gradient(model, x, {0, 2}, 3e-3);
+}
+
+TEST(GradCheck, ConvStrideTwo) {
+  gt::Rng rng(25);
+  // The strided conv is second, so its input gradient reaches the first
+  // conv's weight gradient and the check covers its col2im too.
+  auto net = std::make_unique<nn::Sequential>();
+  net->push(std::make_unique<nn::Conv2d>(2, 2, 1, 1, 0, rng));
+  net->push(std::make_unique<nn::Tanh>());
+  net->push(std::make_unique<nn::Conv2d>(2, 3, 3, 2, 0, rng));
+  net->push(std::make_unique<nn::Tanh>());
+  net->push(std::make_unique<nn::Flatten>());
+  net->push(std::make_unique<nn::Linear>(3 * 3 * 3, 4, rng));
+  nn::Model model("strided", std::move(net), {2, 7, 7}, 4);
+  gt::Tensor x = gt::Tensor::randn({3, 2, 7, 7}, rng);
+  check_model_gradient(model, x, {0, 1, 3}, 3e-3);
 }
 
 // ------------------------------------------------------------------ model

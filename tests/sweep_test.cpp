@@ -1,103 +1,16 @@
-// Parameterized sweeps: Conv2d against a reference implementation across
-// kernel/stride/padding combinations, GAR consistency across (n, f)
-// grids, and controller end-to-end matrices.
+// Parameterized sweeps: GAR consistency across (n, f) grids and controller
+// end-to-end matrices. The Conv2d reference sweep lives in nn_test.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/controller.h"
 #include "gars/gar.h"
-#include "nn/layers.h"
-#include "nn/model.h"
 #include "tensor/rng.h"
 
-namespace nn = garfield::nn;
 namespace gg = garfield::gars;
 namespace gc = garfield::core;
 namespace gt = garfield::tensor;
-
-// ------------------------------------------------- Conv2d reference sweep
-
-struct ConvCase {
-  std::size_t in_ch, out_ch, kernel, stride, padding, h, w;
-};
-
-class ConvSweep : public ::testing::TestWithParam<ConvCase> {};
-
-namespace {
-
-/// Direct (quadruple-loop) convolution, the obviously-correct reference
-/// for the im2col+GEMM implementation.
-gt::Tensor conv_reference(const gt::Tensor& input, const gt::Tensor& weight,
-                          const gt::Tensor& bias, const ConvCase& c) {
-  const std::size_t b = input.dim(0);
-  const std::size_t oh = (c.h + 2 * c.padding - c.kernel) / c.stride + 1;
-  const std::size_t ow = (c.w + 2 * c.padding - c.kernel) / c.stride + 1;
-  gt::Tensor out({b, c.out_ch, oh, ow});
-  for (std::size_t n = 0; n < b; ++n) {
-    for (std::size_t oc = 0; oc < c.out_ch; ++oc) {
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          double acc = bias[oc];
-          for (std::size_t ic = 0; ic < c.in_ch; ++ic) {
-            for (std::size_t ky = 0; ky < c.kernel; ++ky) {
-              for (std::size_t kx = 0; kx < c.kernel; ++kx) {
-                const long iy = long(oy * c.stride + ky) - long(c.padding);
-                const long ix = long(ox * c.stride + kx) - long(c.padding);
-                if (iy < 0 || ix < 0 || iy >= long(c.h) || ix >= long(c.w))
-                  continue;
-                const float v =
-                    input.data()[((n * c.in_ch + ic) * c.h + std::size_t(iy)) *
-                                     c.w +
-                                 std::size_t(ix)];
-                const float wv =
-                    weight.data()[oc * c.in_ch * c.kernel * c.kernel +
-                                  (ic * c.kernel + ky) * c.kernel + kx];
-                acc += double(v) * wv;
-              }
-            }
-          }
-          out.data()[((n * c.out_ch + oc) * oh + oy) * ow + ox] = float(acc);
-        }
-      }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-TEST_P(ConvSweep, MatchesDirectConvolution) {
-  const ConvCase& c = GetParam();
-  gt::Rng rng(31);
-  nn::Conv2d conv(c.in_ch, c.out_ch, c.kernel, c.stride, c.padding, rng);
-  gt::Tensor x = gt::Tensor::randn({2, c.in_ch, c.h, c.w}, rng);
-  const gt::Tensor fast = conv.forward(x, true);
-  auto params = conv.params();
-  const gt::Tensor ref =
-      conv_reference(x, *params[0].value, *params[1].value, c);
-  ASSERT_EQ(fast.shape(), ref.shape());
-  for (std::size_t i = 0; i < fast.numel(); ++i) {
-    EXPECT_NEAR(fast[i], ref[i], 1e-4F) << "element " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, ConvSweep,
-    ::testing::Values(ConvCase{1, 1, 1, 1, 0, 5, 5},
-                      ConvCase{1, 4, 3, 1, 1, 8, 8},
-                      ConvCase{3, 2, 3, 1, 0, 7, 7},
-                      ConvCase{2, 3, 3, 2, 1, 9, 9},
-                      ConvCase{4, 4, 5, 1, 2, 8, 8},
-                      ConvCase{2, 2, 3, 3, 0, 10, 10},
-                      ConvCase{1, 8, 3, 2, 1, 6, 9}),  // non-square input
-    [](const ::testing::TestParamInfo<ConvCase>& info) {
-      const ConvCase& c = info.param;
-      return "c" + std::to_string(c.in_ch) + "o" + std::to_string(c.out_ch) +
-             "k" + std::to_string(c.kernel) + "s" + std::to_string(c.stride) +
-             "p" + std::to_string(c.padding) + "h" + std::to_string(c.h) +
-             "w" + std::to_string(c.w);
-    });
 
 // ----------------------------------------------------- GAR (n, f) grids
 
@@ -130,7 +43,9 @@ TEST_P(GarGrid, AllFeasibleFValues) {
 
 INSTANTIATE_TEST_SUITE_P(Ns, GarGrid, ::testing::Values(3, 5, 7, 9, 12, 15),
                          [](const ::testing::TestParamInfo<std::size_t>& i) {
-                           return "n" + std::to_string(i.param);
+                           std::string name = "n";
+                           name += std::to_string(i.param);
+                           return name;
                          });
 
 // -------------------------------------------- controller end-to-end grid

@@ -82,17 +82,101 @@ TEST(Matmul, MatchesHandComputation) {
   EXPECT_EQ(c.at(1, 1), 154.0F);
 }
 
-TEST(Matmul, TransposedVariantsAgree) {
-  gt::Rng rng(3);
-  gt::Tensor a = gt::Tensor::randn({4, 5}, rng);
-  gt::Tensor b = gt::Tensor::randn({5, 6}, rng);
-  gt::Tensor direct = gt::matmul(a, b);
-  gt::Tensor via_nt = gt::matmul_nt(a, gt::transpose(b));
-  gt::Tensor via_tn = gt::matmul_tn(gt::transpose(a), b);
-  for (std::size_t i = 0; i < direct.numel(); ++i) {
-    EXPECT_NEAR(direct[i], via_nt[i], 1e-4F);
-    EXPECT_NEAR(direct[i], via_tn[i], 1e-4F);
+namespace {
+
+// Shapes whose k and n are not multiples of 8 (nor of 4), so every GEMM
+// runs its tail loops as well as its vectorized body.
+struct GemmShape {
+  std::size_t m, n, k;
+};
+constexpr GemmShape kGemmShapes[] = {
+    {1, 1, 1}, {3, 5, 7}, {5, 13, 19}, {16, 9, 37}, {7, 67, 130}, {2, 31, 9}};
+
+}  // namespace
+
+TEST(Gemm, AllFormsMatchDoubleReference) {
+  for (const GemmShape& s : kGemmShapes) {
+    gt::Rng rng(40 + s.k);
+    const gt::Tensor a = gt::Tensor::randn({s.m, s.k}, rng);
+    const gt::Tensor b = gt::Tensor::randn({s.k, s.n}, rng);
+    const gt::Tensor c0 = gt::Tensor::randn({s.m, s.n}, rng);
+    const gt::Tensor a_t = gt::transpose(a), b_t = gt::transpose(b);
+    gt::Tensor nn = c0, nt = c0, tn = c0;
+    gt::gemm_nn(s.m, s.n, s.k, a.data().data(), b.data().data(),
+                nn.data().data());
+    gt::gemm_nt(s.m, s.n, s.k, a.data().data(), b_t.data().data(),
+                nt.data().data());
+    gt::gemm_tn(s.m, s.n, s.k, a_t.data().data(), b.data().data(),
+                tn.data().data());
+    for (std::size_t i = 0; i < s.m; ++i) {
+      for (std::size_t j = 0; j < s.n; ++j) {
+        double ref = c0.at(i, j), scale = std::abs(ref);
+        for (std::size_t p = 0; p < s.k; ++p) {
+          ref += double(a.at(i, p)) * double(b.at(p, j));
+          scale += std::abs(double(a.at(i, p)) * double(b.at(p, j)));
+        }
+        // Float rounding grows at most ~k ulps of the absolute sum.
+        const double tol = 1.2e-7 * double(s.k + 1) * scale;
+        EXPECT_NEAR(nn.at(i, j), ref, tol) << "nn " << s.m << "x" << s.n
+                                           << "x" << s.k << " at " << i
+                                           << "," << j;
+        EXPECT_NEAR(nt.at(i, j), ref, tol) << "nt at " << i << "," << j;
+        EXPECT_NEAR(tn.at(i, j), ref, tol) << "tn at " << i << "," << j;
+      }
+    }
   }
+}
+
+TEST(Gemm, SummationOrderIsTheDocumentedOne) {
+  // Bitwise: gemm_nn, gemm_tn and matmul add the products one at a time in
+  // ascending p; gemm_nt sums eight lanes (p mod 8) over whole blocks of
+  // eight, reduces them pairwise, then adds the tail. A scalar float loop
+  // cannot be reordered by the compiler, so it pins the order exactly.
+  for (const GemmShape& s : kGemmShapes) {
+    gt::Rng rng(60 + s.k);
+    const gt::Tensor a = gt::Tensor::randn({s.m, s.k}, rng);
+    const gt::Tensor b = gt::Tensor::randn({s.k, s.n}, rng);
+    const gt::Tensor a_t = gt::transpose(a), b_t = gt::transpose(b);
+    const gt::Tensor c0 = gt::Tensor::randn({s.m, s.n}, rng);
+    gt::Tensor nn = c0, nt = c0, tn = c0;
+    gt::gemm_nn(s.m, s.n, s.k, a.data().data(), b.data().data(),
+                nn.data().data());
+    gt::gemm_nt(s.m, s.n, s.k, a.data().data(), b_t.data().data(),
+                nt.data().data());
+    gt::gemm_tn(s.m, s.n, s.k, a_t.data().data(), b.data().data(),
+                tn.data().data());
+    const gt::Tensor product = gt::matmul(a, b);
+    for (std::size_t i = 0; i < s.m; ++i) {
+      for (std::size_t j = 0; j < s.n; ++j) {
+        float sequential = c0.at(i, j), from_zero = 0.0F;
+        for (std::size_t p = 0; p < s.k; ++p) {
+          sequential += a.at(i, p) * b.at(p, j);
+          from_zero += a.at(i, p) * b.at(p, j);
+        }
+        float lane[8] = {};
+        std::size_t p = 0;
+        for (; p + 8 <= s.k; p += 8)
+          for (std::size_t l = 0; l < 8; ++l)
+            lane[l] += a.at(i, p + l) * b.at(p + l, j);
+        float dot = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+                    ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+        for (; p < s.k; ++p) dot += a.at(i, p) * b.at(p, j);
+        EXPECT_EQ(nn.at(i, j), sequential);
+        EXPECT_EQ(tn.at(i, j), sequential);
+        EXPECT_EQ(product.at(i, j), from_zero);
+        EXPECT_EQ(nt.at(i, j), c0.at(i, j) + dot);
+      }
+    }
+  }
+}
+
+TEST(Tensor, ReshapeInPlaceKeepsStorage) {
+  gt::Tensor t({2, 3}, std::vector<float>{1, 2, 3, 4, 5, 6});
+  const float* before = t.data().data();
+  t.reshape({3, 2});
+  EXPECT_EQ(t.shape(), (gt::Shape{3, 2}));
+  EXPECT_EQ(t.data().data(), before);
+  EXPECT_THROW(t.reshape({4, 2}), std::invalid_argument);
 }
 
 TEST(VecOps, AxpyScaleDot) {
