@@ -16,12 +16,10 @@
 //     handler compute, so these numbers are real contention, not simulated
 //     sleeps. Results are written to BENCH_fig8.json (override the path
 //     with GARFIELD_FIG8_JSON; one run per file — the committed copy is
-//     the trajectory record) and each row whose shape matches the
-//     committed pre-rework baseline prints its speedup.
+//     the trajectory record).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -80,23 +78,6 @@ void panel(const char* title, const char* model, const DeviceProfile& device,
 
 // ------------------------------------------------- live contention mode
 
-/// Pre-rework throughput on the reference shape (nw=8, auto pool, latency
-/// 0, 60 iterations of tiny_mlp/cluster, seed 7), measured with the
-/// sleep-on-pool + O(nps)-recompute transport this PR replaced — the
-/// committed "before" of BENCH_fig8.json's before/after speedups. 0 = no
-/// baseline for that deployment.
-struct PrePrBaseline {
-  const char* deployment;
-  std::size_t nps;
-  double its_per_sec;
-};
-constexpr PrePrBaseline kPrePr[] = {
-    {"vanilla", 1, 3121.2},
-    {"ssmw", 1, 3049.9},
-    {"msmw", 3, 1102.2},
-    {"decentralized", 1, 345.9},
-};
-
 struct LiveCell {
   gc::Deployment deployment;
   std::size_t nps = 1;
@@ -118,13 +99,11 @@ struct LiveCell {
 struct LiveResult {
   LiveCell cell;
   double its_per_sec = 0.0;
-  std::uint64_t floats_transferred = 0;
   std::uint64_t wasted_replies = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
   std::uint64_t bytes_saved = 0;
   double final_accuracy = 0.0;
-  double speedup_vs_pre_pr = 0.0;  // 0 = shape has no committed baseline
   /// codec=none bytes_sent of the same (deployment, transport, nw,
   /// network) shape divided by this row's bytes_sent — the compression
   /// headline. 0 = not a codec-frontier row or no baseline to compare.
@@ -177,23 +156,11 @@ LiveResult run_live(const LiveCell& cell, std::size_t iterations) {
     const double its = secs > 0 ? double(cfg.iterations) / secs : 0.0;
     if (its > out.its_per_sec) {
       out.its_per_sec = its;
-      out.floats_transferred = r.net_stats.floats_transferred;
       out.wasted_replies = r.net_stats.wasted_replies;
       out.bytes_sent = r.net_stats.bytes_sent;
       out.bytes_received = r.net_stats.bytes_received;
       out.bytes_saved = r.net_stats.bytes_saved;
       out.final_accuracy = r.final_accuracy;
-    }
-  }
-  // The committed baseline covers the reference shape only: nw=8, auto
-  // pool, full-length run.
-  if (!garfield::bench::smoke_mode() && cell.nw == 8 &&
-      cell.pool_threads == 0 && std::string(cell.transport) == "inproc") {
-    for (const PrePrBaseline& b : kPrePr) {
-      if (gc::to_string(cell.deployment) == b.deployment &&
-          cell.nps == b.nps && b.its_per_sec > 0) {
-        out.speedup_vs_pre_pr = out.its_per_sec / b.its_per_sec;
-      }
     }
   }
   return out;
@@ -205,20 +172,16 @@ void write_row(std::FILE* f, const LiveResult& r, bool last) {
       "    {\"deployment\": \"%s\", \"transport\": \"%s\", \"nps\": %zu, "
       "\"nw\": %zu, \"pool_threads\": %zu, \"codec\": \"%s\", "
       "\"network\": \"%s\", \"iterations_per_sec\": %.1f, "
-      "\"floats_transferred\": %llu, \"wasted_replies\": %llu, "
+      "\"wasted_replies\": %llu, "
       "\"bytes_sent\": %llu, \"bytes_received\": %llu, "
       "\"bytes_saved\": %llu, \"final_accuracy\": %.4f",
       gc::to_string(r.cell.deployment).c_str(), r.cell.transport, r.cell.nps,
       r.cell.nw, r.cell.pool_threads, r.cell.codec, r.cell.network,
-      r.its_per_sec, (unsigned long long)r.floats_transferred,
-      (unsigned long long)r.wasted_replies, (unsigned long long)r.bytes_sent,
+      r.its_per_sec, (unsigned long long)r.wasted_replies, (unsigned long long)r.bytes_sent,
       (unsigned long long)r.bytes_received, (unsigned long long)r.bytes_saved,
       r.final_accuracy);
   if (r.bytes_ratio_vs_none > 0) {
     std::fprintf(f, ", \"bytes_ratio_vs_none\": %.2f", r.bytes_ratio_vs_none);
-  }
-  if (r.speedup_vs_pre_pr > 0) {
-    std::fprintf(f, ", \"speedup_vs_pre_pr\": %.2f", r.speedup_vs_pre_pr);
   }
   std::fprintf(f, "}%s\n", last ? "" : ",");
 }
@@ -239,12 +202,7 @@ void write_json(const std::vector<LiveResult>& results,
   std::fprintf(f, "  \"iterations\": %zu,\n", iterations);
   std::fprintf(f, "  \"workload\": \"tiny_mlp, cluster dataset, "
                   "train=2048, batch=16, latency=0, seed=7\",\n");
-  std::fprintf(f, "  \"pre_pr_baseline_its_per_sec\": {");
-  for (std::size_t i = 0; i < std::size(kPrePr); ++i) {
-    std::fprintf(f, "%s\"%s\": %.1f", i == 0 ? "" : ", ",
-                 kPrePr[i].deployment, kPrePr[i].its_per_sec);
-  }
-  std::fprintf(f, "},\n  \"results\": [\n");
+  std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     write_row(f, results[i], i + 1 == results.size());
   }
@@ -265,9 +223,8 @@ std::vector<LiveResult> live_mode(std::size_t iterations) {
   std::printf("\nLive real-contention mode — in-process trainer, latency "
               "0,\n(deployment x nps x nw x pool_threads), %zu iterations "
               "per cell\n", iterations);
-  std::printf("%-14s %-7s %-4s %-4s %-6s %-10s %-12s %-12s %-8s %-10s\n",
-              "deployment", "trans", "nps", "nw", "pool", "its/sec", "floats",
-              "bytes_sent", "wasted", "vs pre-PR");
+  std::printf("%-14s %-7s %-4s %-4s %-6s %-10s %-12s %-8s\n", "deployment",
+              "trans", "nps", "nw", "pool", "its/sec", "bytes_sent", "wasted");
 
   std::vector<LiveCell> cells;
   // nw floor is 6: multi_krum at fw=1 needs 2f+3 = 5 inputs and the
@@ -292,7 +249,7 @@ std::vector<LiveResult> live_mode(std::size_t iterations) {
   // fork/exec, loopback framing and the ready/done barriers on the clock.
   // Auto pool only: each node process sizes its own pool. Needs the
   // tools/garfield_node launcher; without it the cells are skipped. The
-  // floats/wasted columns of tcp rows are the orchestrating rank's
+  // bytes/wasted columns of tcp rows are the orchestrating rank's
   // process-local view (core/node_runner.h scope note).
   for (std::size_t nw : nws) {
     cells.push_back({gc::Deployment::kSsmw, 1, nw, 1, 0, 0, "tcp"});
@@ -318,17 +275,11 @@ std::vector<LiveResult> live_mode(std::size_t iterations) {
       }
       throw;
     }
-    char speedup[32] = "-";
-    if (r.speedup_vs_pre_pr > 0) {
-      std::snprintf(speedup, sizeof speedup, "%.2fx", r.speedup_vs_pre_pr);
-    }
-    std::printf("%-14s %-7s %-4zu %-4zu %-6zu %-10.1f %-12llu %-12llu "
-                "%-8llu %-10s\n",
+    std::printf("%-14s %-7s %-4zu %-4zu %-6zu %-10.1f %-12llu %-8llu\n",
                 gc::to_string(cell.deployment).c_str(), cell.transport,
                 cell.nps, cell.nw, cell.pool_threads, r.its_per_sec,
-                (unsigned long long)r.floats_transferred,
                 (unsigned long long)r.bytes_sent,
-                (unsigned long long)r.wasted_replies, speedup);
+                (unsigned long long)r.wasted_replies);
     results.push_back(r);
   }
   return results;

@@ -46,10 +46,9 @@ int main(int argc, char** argv) {
   for (const EvalPoint& p : result.curve) {
     std::printf("%-10zu %-10.3f %-10.3f\n", p.iteration, p.accuracy, p.loss);
   }
-  std::printf("final accuracy: %.3f   (messages: %llu, floats: %llu)\n",
+  std::printf("final accuracy: %.3f   (messages: %llu, bytes: %llu)\n",
               result.final_accuracy,
               static_cast<unsigned long long>(result.net_stats.requests_sent),
-              static_cast<unsigned long long>(
-                  result.net_stats.floats_transferred));
+              static_cast<unsigned long long>(result.net_stats.bytes_sent));
   return result.final_accuracy > 0.5 ? 0 : 1;
 }

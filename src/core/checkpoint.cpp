@@ -22,16 +22,15 @@ namespace {
 constexpr std::uint32_t kDigestMagic = 0x444b4347;  // "GCKD" little-endian
 constexpr std::size_t kDigestTrailerBytes = 8;
 
-std::uint32_t read_u32(std::span<const std::uint8_t> in, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= std::uint32_t(in[at + std::size_t(i)]) << (8 * i);
-  }
-  return v;
-}
-
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
+/// The trailer's (magic, CRC) pair; callers check the blob holds it.
+struct Trailer {
+  std::uint32_t magic;
+  std::uint32_t crc;
+};
+Trailer read_trailer(std::span<const std::uint8_t> bytes) {
+  net::ByteReader in{bytes.last(kDigestTrailerBytes), "checkpoint digest"};
+  const std::uint32_t magic = in.u32();
+  return {magic, in.u32()};
 }
 
 /// Digest check first, message decodes second — a blob that fails its
@@ -45,13 +44,13 @@ std::span<const std::uint8_t> verify_digest(
                          " bytes, shorter than a message plus digest)");
   }
   const std::size_t body_size = bytes.size() - kDigestTrailerBytes;
-  if (read_u32(bytes, body_size) != kDigestMagic) {
+  const Trailer trailer = read_trailer(bytes);
+  if (trailer.magic != kDigestMagic) {
     throw net::WireError(context +
                          ": missing digest trailer (pre-digest blob, or "
                          "the trailer itself was damaged)");
   }
-  const std::uint32_t stored = read_u32(bytes, body_size + 4);
-  if (net::crc32(bytes.first(body_size)) != stored) {
+  if (net::crc32(bytes.first(body_size)) != trailer.crc) {
     throw net::WireError(context +
                          ": digest mismatch — state blob corrupted or "
                          "tampered with; rejecting before decode");
@@ -63,7 +62,7 @@ std::span<const std::uint8_t> verify_digest(
 /// the current format from pre-digest on-disk checkpoints.
 bool has_digest_trailer(std::span<const std::uint8_t> bytes) {
   return bytes.size() >= net::wire_size(0) + kDigestTrailerBytes &&
-         read_u32(bytes, bytes.size() - kDigestTrailerBytes) == kDigestMagic;
+         read_trailer(bytes).magic == kDigestMagic;
 }
 
 /// Decode the message body (digest already stripped/absent): parameters
@@ -107,8 +106,8 @@ std::vector<std::uint8_t> encode_checkpoint_blob(
     blob.insert(blob.end(), tail.begin(), tail.end());
   }
   const std::uint32_t digest = net::crc32(blob);
-  append_u32(blob, kDigestMagic);
-  append_u32(blob, digest);
+  net::put_u32(blob, kDigestMagic);
+  net::put_u32(blob, digest);
   return blob;
 }
 

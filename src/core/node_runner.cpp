@@ -40,59 +40,25 @@ constexpr std::uint32_t kResultMagic = 0x52545247;  // "GRTR" little-endian
 // v2: fault/retry NetStats (faults_injected, retries, retry_give_ups,
 // peer_deaths) and the Byzantine-recovery state-transfer counters.
 // v3: bytes_saved (wire-codec compression credit).
-constexpr std::uint32_t kResultVersion = 3;
+// v4: floats_transferred dropped (bytes_sent covers the same volume).
+constexpr std::uint32_t kResultVersion = 4;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
+using net::put_u32;
+using net::put_u64;
 
 void put_f64(std::vector<std::uint8_t>& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
 }
 
-/// Bounds-checked little-endian reads over the result blob; a short file
-/// must surface as a pointed error, never as UB.
-struct BlobReader {
-  std::span<const std::uint8_t> bytes;
-  std::size_t at = 0;
-
-  void need(std::size_t n) const {
-    if (bytes.size() - at < n) {
-      throw std::runtime_error("node result blob truncated");
-    }
-  }
-  std::uint8_t u8() {
-    need(1);
-    return bytes[at++];
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= std::uint32_t(bytes[at + std::size_t(i)]) << (8 * i);
-    }
-    at += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= std::uint64_t(bytes[at + std::size_t(i)]) << (8 * i);
-    }
-    at += 8;
-    return v;
-  }
+/// Bounds-checked reads over the result blob: a short file surfaces as a
+/// pointed WireError ("node result blob truncated"), never as UB.
+struct BlobReader : net::ByteReader {
+  explicit BlobReader(std::span<const std::uint8_t> blob)
+      : net::ByteReader{blob, "node result blob"} {}
   double f64() { return std::bit_cast<double>(u64()); }
   std::string str(std::size_t n) {
-    need(n);
-    std::string s(reinterpret_cast<const char*>(bytes.data() + at), n);
-    at += n;
-    return s;
+    const std::span<const std::uint8_t> raw = take(n);
+    return {reinterpret_cast<const char*>(raw.data()), raw.size()};
   }
 };
 
@@ -122,7 +88,6 @@ std::vector<std::uint8_t> encode_result(const TrainResult& r) {
   put_u64(out, r.gradients_computed);
   put_u64(out, r.net_stats.requests_sent);
   put_u64(out, r.net_stats.replies_received);
-  put_u64(out, r.net_stats.floats_transferred);
   put_u64(out, r.net_stats.wasted_replies);
   put_u64(out, r.net_stats.quorum_misses);
   put_u64(out, r.net_stats.dropped_tasks);
@@ -159,7 +124,7 @@ std::vector<std::uint8_t> encode_result(const TrainResult& r) {
 
 /// Decode, or rethrow the child's abort reason.
 TrainResult decode_result(std::span<const std::uint8_t> bytes) {
-  BlobReader in{bytes};
+  BlobReader in(bytes);
   if (in.u32() != kResultMagic) {
     throw std::runtime_error("node result blob: bad magic");
   }
@@ -180,7 +145,6 @@ TrainResult decode_result(std::span<const std::uint8_t> bytes) {
   r.gradients_computed = in.u64();
   r.net_stats.requests_sent = in.u64();
   r.net_stats.replies_received = in.u64();
-  r.net_stats.floats_transferred = in.u64();
   r.net_stats.wasted_replies = in.u64();
   r.net_stats.quorum_misses = in.u64();
   r.net_stats.dropped_tasks = in.u64();
@@ -214,10 +178,7 @@ TrainResult decode_result(std::span<const std::uint8_t> bytes) {
     a.max_diff2 = in.f64();
     r.alignment.push_back(a);
   }
-  const std::uint64_t params_len = in.u64();
-  in.need(params_len);
-  net::WireMessage msg =
-      net::decode(bytes.subspan(in.at, std::size_t(params_len)));
+  net::WireMessage msg = net::decode(in.take(std::size_t(in.u64())));
   r.final_parameters = std::move(msg.payload);
   return r;
 }

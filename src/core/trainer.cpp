@@ -187,9 +187,7 @@ void build_parameter_server(Runtime& rt) {
   // is aggregating whatever is available *now* rather than waiting on
   // stragglers.
   if (cfg.deployment == Deployment::kMsmw && !cfg.asynchronous) {
-    for (auto& server : rt.servers)
-      server->enable_step_tagged_serving(/*models=*/true,
-                                         /*aggr_grads=*/false);
+    for (auto& server : rt.servers) server->enable_step_tagged_serving();
   }
 }
 
@@ -250,10 +248,9 @@ void build_decentralized(Runtime& rt) {
           cfg.batch_size, root.fork(200 + i), cfg.worker_momentum));
     }
   }
-  // Peers exchange both models and contracted gradients step-tagged (the
-  // gossip tag additionally encodes the contraction round).
-  for (auto& server : rt.servers)
-    server->enable_step_tagged_serving(/*models=*/true, /*aggr_grads=*/true);
+  // Peers exchange models step-tagged, like the contracted-gradient
+  // gossip (whose tag additionally encodes the contraction round).
+  for (auto& server : rt.servers) server->enable_step_tagged_serving();
 }
 
 /// Byzantine-recovery state transfer — the live path the checkpoint

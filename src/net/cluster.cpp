@@ -331,10 +331,6 @@ void Cluster::call(NodeId from, NodeId to, const std::string& method,
                    std::optional<std::uint64_t> window_iteration) {
   assert(from < nodes_ && to < nodes_);
   requests_sent_.fetch_add(1, std::memory_order_relaxed);
-  if (argument) {
-    floats_transferred_.fetch_add(argument->size(),
-                                  std::memory_order_relaxed);
-  }
   auto cb = std::make_shared<Callback>(std::move(on_done));
   send_attempt(from, to, method, iteration, std::move(argument),
                std::move(cb), Clock::now() + timeout, 0, window_iteration);
@@ -410,11 +406,6 @@ void Cluster::send_attempt(NodeId from, NodeId to, const std::string& method,
   Transport::Respond wrapped = [this, cb, from, to, window,
                                 dup = verdict.dup](PayloadPtr payload) {
     if (payload) {
-      // Floats first, then the release bump of replies_received_: the
-      // snapshot's acquire load of replies_received_ (stats()) then also
-      // covers this reply's float accounting.
-      floats_transferred_.fetch_add(payload->size(),
-                                    std::memory_order_relaxed);
       replies_received_.fetch_add(1, std::memory_order_release);
       if (dup) {
         // fault:dup models a duplicated delivery of this reply; the RPC
@@ -523,17 +514,15 @@ NetStats Cluster::stats() const {
   NetStats s;
   // Single acquire point for the whole snapshot: pairs with the release
   // increment on call()'s reply path. Every write that happened-before an
-  // observed
-  // reply bump — its request's requests_sent_/floats_transferred_
-  // accounting, the reply's own float count — is therefore visible to the
-  // relaxed loads below, so replies_received <= requests_sent holds in
-  // every snapshot, even taken mid-flight. Beyond that pairing the
-  // counters are independent relaxed monotone counts (nothing is published
-  // through them), so no stronger ordering is required; exact cross-field
-  // equalities (e.g. floats vs replies) are only asserted at quiescence.
+  // observed reply bump — its request's requests_sent_ accounting — is
+  // therefore visible to the relaxed loads below, so replies_received <=
+  // requests_sent holds in every snapshot, even taken mid-flight. Beyond
+  // that pairing the counters are independent relaxed monotone counts
+  // (nothing is published through them), so no stronger ordering is
+  // required; exact cross-field equalities are only asserted at
+  // quiescence.
   s.replies_received = replies_received_.load(std::memory_order_acquire);
   s.requests_sent = requests_sent_.load(std::memory_order_relaxed);
-  s.floats_transferred = floats_transferred_.load(std::memory_order_relaxed);
   s.wasted_replies = wasted_replies_.load(std::memory_order_relaxed);
   s.quorum_misses = quorum_misses_.load(std::memory_order_relaxed);
   s.dropped_tasks = dropped_tasks_.load(std::memory_order_relaxed);

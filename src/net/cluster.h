@@ -123,7 +123,6 @@ struct Reply {
 struct NetStats {
   std::uint64_t requests_sent = 0;
   std::uint64_t replies_received = 0;
-  std::uint64_t floats_transferred = 0;  // request arguments + replies
   /// Replies crafted and delivered after the caller's quorum was already
   /// met — the overshoot cost of fastest-q pulls (the callee still paid
   /// the compute and the link still carried the floats).
@@ -391,7 +390,6 @@ class Cluster {
   // stats() for the invariant this buys).
   std::atomic<std::uint64_t> requests_sent_{0};
   std::atomic<std::uint64_t> replies_received_{0};
-  std::atomic<std::uint64_t> floats_transferred_{0};
   std::atomic<std::uint64_t> wasted_replies_{0};
   std::atomic<std::uint64_t> quorum_misses_{0};
   std::atomic<std::uint64_t> dropped_tasks_{0};

@@ -2,7 +2,7 @@
 //
 // The paper's deployments are communication-bound (Fig 8/9: decentralized
 // traffic grows O(n^2); the TCP backend runs an order of magnitude slower
-// than in-process at identical floats_transferred). A wire codec shrinks
+// than in-process at identical traffic). A wire codec shrinks
 // what crosses the Transport seam without touching the learning code: the
 // sender encodes a dense FlatVector into a (much) shorter FlatVector, the
 // receiver decodes it back to full dimension, and everything in between —

@@ -14,15 +14,6 @@ std::uint64_t splitmix(std::uint64_t z) {
   return tensor::splitmix64_mix(z + 0x9e3779b97f4a7c15ULL);
 }
 
-/// Overlap of the inclusive range [lo, hi] with the half-open [a, b).
-std::size_t overlap(std::size_t lo, std::size_t hi, std::size_t a,
-                    std::size_t b) {
-  if (b == 0) return 0;
-  const std::size_t left = std::max(lo, a);
-  const std::size_t right = std::min(hi, b - 1);
-  return right >= left ? right - left + 1 : 0;
-}
-
 /// Window predicate shared by every windowed clause: active from
 /// from_iter for len iterations (len = 0 => open-ended).
 bool window_active(std::uint64_t from_iter, std::uint64_t len,
@@ -95,11 +86,6 @@ constexpr std::uint64_t kFaultSalt = 0xf417'1d0e'5eed'0001ULL;
 constexpr std::uint64_t kSpikeSalt = 0xf417'1d0e'5eed'0002ULL;
 
 }  // namespace
-
-std::size_t NodeRange::count_in(std::size_t span_lo,
-                                std::size_t span_hi) const {
-  return overlap(lo, hi, span_lo, span_hi);
-}
 
 NodeRange parse_node_range(const std::string& text,
                            const std::string& context) {
@@ -332,31 +318,6 @@ double NetworkConditions::link_rate_touching(std::size_t node) const {
   return rate;
 }
 
-std::size_t NetworkConditions::count_link_limited(std::size_t lo,
-                                                  std::size_t hi) const {
-  if (links_.empty() || hi <= lo) return 0;
-  std::size_t count = 0;
-  for (std::size_t node = lo; node < hi; ++node) {
-    for (const LinkOverride& l : links_) {
-      if (l.nodes.contains(node)) {
-        ++count;
-        break;
-      }
-    }
-  }
-  return count;
-}
-
-double NetworkConditions::min_link_rate(std::size_t lo,
-                                        std::size_t hi) const {
-  double rate = 0.0;
-  for (const LinkOverride& l : links_) {
-    if (l.nodes.count_in(lo, hi) == 0) continue;
-    rate = rate > 0.0 ? std::min(rate, l.byte_rate) : l.byte_rate;
-  }
-  return rate;
-}
-
 double NetworkConditions::byte_rate(std::size_t from, std::size_t to,
                                     std::uint64_t iteration) const {
   double rate = wan_byte_rate(iteration);
@@ -368,17 +329,6 @@ double NetworkConditions::byte_rate(std::size_t from, std::size_t to,
     rate /= hetero_->factor;
   }
   return rate;
-}
-
-std::size_t NetworkConditions::count_slow(std::size_t lo,
-                                          std::size_t hi) const {
-  return hetero_ ? hetero_->slow_links.count_in(lo, hi) : 0;
-}
-
-std::size_t NetworkConditions::count_straggling(
-    std::size_t lo, std::size_t hi, std::uint64_t iteration) const {
-  const Straggler* s = active_straggler(iteration);
-  return s ? s->nodes.count_in(lo, hi) : 0;
 }
 
 bool NetworkConditions::fault_active(std::size_t from, std::size_t to,
@@ -419,14 +369,6 @@ NetworkConditions::FaultVerdict NetworkConditions::fault_verdict(
     if (s < fault_->spike) verdict.spike_delay = fault_->delay_spike;
   }
   return verdict;
-}
-
-std::size_t NetworkConditions::count_faulty(std::size_t lo, std::size_t hi,
-                                            std::uint64_t iteration) const {
-  if (!fault_) return 0;
-  if (!window_active(fault_->from_iter, fault_->len, iteration)) return 0;
-  if (hi <= lo) return 0;
-  return fault_->edges ? fault_->edges->count_in(lo, hi) : hi - lo;
 }
 
 bool NetworkConditions::churn_down(std::size_t node,
@@ -475,17 +417,6 @@ std::size_t NetworkConditions::count_down(std::size_t lo, std::size_t hi,
   return down;
 }
 
-std::size_t NetworkConditions::count_cross(std::size_t from, std::size_t lo,
-                                           std::size_t hi,
-                                           std::uint64_t iteration) const {
-  const Partition* p = active_partition(iteration);
-  if (p == nullptr) return 0;
-  // A node in neither group sees both sides; only membership cuts.
-  if (p->a.contains(from)) return p->b.count_in(lo, hi);
-  if (p->b.contains(from)) return p->a.count_in(lo, hi);
-  return 0;
-}
-
 NetworkConditions::Duration NetworkConditions::jitter_for(
     std::size_t from, std::size_t to, const std::string& method,
     std::uint64_t iteration, std::uint64_t seed,
@@ -515,15 +446,9 @@ NetworkConditions::Duration NetworkConditions::delay(
   }
   // The *serving* node straggles: every reply it crafts leaves late —
   // the live twin of a per-callee service delay.
-  const Straggler* straggler = active_straggler(window);
-  if (straggler != nullptr && straggler->nodes.contains(to)) {
-    us += straggler->lag.count();
-  }
-  const Partition* partition = active_partition(window);
-  if (partition != nullptr &&
-      ((partition->a.contains(from) && partition->b.contains(to)) ||
-       (partition->b.contains(from) && partition->a.contains(to)))) {
-    us += partition->lag.count();
+  if (is_straggling(to, window)) us += active_straggler(window)->lag.count();
+  if (partitioned(from, to, window)) {
+    us += active_partition(window)->lag.count();
   }
   return Duration{us};
 }

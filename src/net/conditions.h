@@ -7,7 +7,10 @@
 //    links + iteration-scheduled straggler lag + partition windows +
 //    payload-proportional serialization at the edge's byte rate), and
 //  - the analytic simulator (sim/deployment_sim.h) derives its
-//    communication/wait terms from the *same parsed object*,
+//    communication/wait terms from the *same parsed object*, classifying
+//    each edge of a pull stage with the same per-edge predicates the live
+//    plane composes (is_slow, is_straggling, partitioned, fault_active,
+//    link_rate_touching, churn_down),
 //
 // so one spec string can be written once and cross-validated against both
 // planes (tests/netcond_crossval_test.cpp).
@@ -110,10 +113,6 @@ struct NodeRange {
     return node >= lo && node <= hi;
   }
   [[nodiscard]] std::size_t size() const { return hi - lo + 1; }
-  /// Members of this range that fall inside the half-open id span
-  /// [span_lo, span_hi) — the sim plane's per-cohort counting primitive.
-  [[nodiscard]] std::size_t count_in(std::size_t span_lo,
-                                     std::size_t span_hi) const;
 };
 
 /// Parse "2" or "0-3" (inclusive, lo <= hi); throws std::invalid_argument
@@ -267,14 +266,12 @@ class NetworkConditions {
   [[nodiscard]] double wan_byte_rate(std::uint64_t iteration) const;
   /// Slowest link-override rate touching `node` (0 = none).
   [[nodiscard]] double link_rate_touching(std::size_t node) const;
-  /// Nodes inside [lo, hi) touched by any link override — the sim plane's
-  /// fastest-q dodge primitive for overridden edges.
-  [[nodiscard]] std::size_t count_link_limited(std::size_t lo,
-                                               std::size_t hi) const;
-  /// Slowest link-override rate intersecting [lo, hi) (0 = none).
-  [[nodiscard]] double min_link_rate(std::size_t lo, std::size_t hi) const;
 
-  // ---------------------------------------------- plane-agnostic predicates
+  // ------------------------------------------------------ per-edge predicates
+  // Both planes resolve an edge (from, to) through these: the live
+  // delay(), byte_rate() and fault_verdict() compose them per message, and
+  // the analytic simulator classifies each responder of a pull stage with
+  // them (sim/deployment_sim.cpp resolve_pull).
 
   [[nodiscard]] bool is_slow(std::size_t node) const {
     return hetero_ && hetero_->slow_links.contains(node);
@@ -287,16 +284,10 @@ class NetworkConditions {
   [[nodiscard]] const Partition* active_partition(
       std::uint64_t iteration) const;
 
-  [[nodiscard]] bool straggler_window_active(std::uint64_t iteration) const {
-    return active_straggler(iteration) != nullptr;
-  }
   [[nodiscard]] bool is_straggling(std::size_t node,
                                    std::uint64_t iteration) const {
     const Straggler* s = active_straggler(iteration);
     return s != nullptr && s->nodes.contains(node);
-  }
-  [[nodiscard]] bool partition_window_active(std::uint64_t iteration) const {
-    return active_partition(iteration) != nullptr;
   }
   /// True when `x` and `y` sit on opposite sides of an active cut.
   [[nodiscard]] bool partitioned(std::size_t x, std::size_t y,
@@ -307,7 +298,7 @@ class NetworkConditions {
   [[nodiscard]] bool has_fault() const { return fault_.has_value(); }
   /// True when the fault window covers `iteration` AND the (from, to)
   /// edge is inside the clause's `edges` restriction — the gate both
-  /// fault_verdict() and the analytic mirror share.
+  /// fault_verdict() and the analytic plane share.
   [[nodiscard]] bool fault_active(std::size_t from, std::size_t to,
                                   std::uint64_t iteration) const;
   /// Resolve the deterministic fault outcome of send attempt number
@@ -320,7 +311,7 @@ class NetworkConditions {
       std::uint64_t iteration, std::uint64_t seed, std::uint32_t attempt,
       std::optional<std::uint64_t> window_iteration = std::nullopt) const;
   /// P(one attempt is lost) = drop + corrupt — what the sim's expected
-  /// retry mirror integrates over.
+  /// retry tail integrates over.
   [[nodiscard]] double fault_loss_rate() const {
     return fault_ ? fault_->drop + fault_->corrupt : 0.0;
   }
@@ -329,10 +320,6 @@ class NetworkConditions {
     return fault_ ? fault_->spike * double(fault_->delay_spike.count()) * 1e-6
                   : 0.0;
   }
-  /// Nodes inside [lo, hi) whose edges the fault clause can touch at
-  /// `iteration` (the whole span when no `edges=` restriction applies).
-  [[nodiscard]] std::size_t count_faulty(std::size_t lo, std::size_t hi,
-                                         std::uint64_t iteration) const;
 
   [[nodiscard]] bool has_churn() const { return !churn_.empty(); }
   /// True when the churn schedule has `node` down (crashed, or not yet
@@ -343,22 +330,8 @@ class NetworkConditions {
   /// nullopt when the schedule never brings it back.
   [[nodiscard]] std::optional<std::uint64_t> next_up_iteration(
       std::size_t node, std::uint64_t iteration) const;
-
-  // ------------------------------------------------------ sim-plane queries
-  // The analytic plane reasons over id spans (servers [0, nps), workers
-  // [nps, nps+nw), decentralized peers [0, n)) rather than edges.
-
-  /// Slow nodes inside [lo, hi).
-  [[nodiscard]] std::size_t count_slow(std::size_t lo, std::size_t hi) const;
-  /// Nodes inside [lo, hi) straggling at `iteration`.
-  [[nodiscard]] std::size_t count_straggling(std::size_t lo, std::size_t hi,
-                                             std::uint64_t iteration) const;
-  /// Nodes inside [lo, hi) cut off from `from` at `iteration`.
-  [[nodiscard]] std::size_t count_cross(std::size_t from, std::size_t lo,
-                                        std::size_t hi,
-                                        std::uint64_t iteration) const;
   /// Nodes inside [lo, hi) the churn schedule has down at `iteration` —
-  /// the quorum-trajectory primitive (a cohort of span n fields
+  /// the trainer's churn floor (a cohort of span n fields
   /// n - count_down(...) responders).
   [[nodiscard]] std::size_t count_down(std::size_t lo, std::size_t hi,
                                        std::uint64_t iteration) const;

@@ -21,7 +21,7 @@ namespace garfield::net {
 namespace {
 
 // Frame types. Every frame body starts with one of these; the layouts are
-// fixed-width little-endian (the put/get helpers below), payloads are
+// fixed-width little-endian (net/wire.h put_u* / ByteReader), payloads are
 // net/wire blobs so they keep their magic + CRC end to end.
 constexpr std::uint8_t kFrameRequest = 1;
 constexpr std::uint8_t kFrameReply = 2;
@@ -31,62 +31,6 @@ constexpr std::uint8_t kFrameReady = 5;
 
 /// How long start() waits for every sibling process to join the mesh.
 constexpr Duration kMeshDeadline{std::chrono::seconds(30)};
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(std::uint8_t(v));
-  out.push_back(std::uint8_t(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
-
-/// Bounds-checked little-endian reads; a short or lying frame is stream
-/// corruption and must surface as WireError (the reader treats it as peer
-/// death), never as UB.
-struct FrameReader {
-  std::span<const std::uint8_t> bytes;
-  std::size_t at = 0;
-
-  void need(std::size_t n) const {
-    if (bytes.size() - at < n) {
-      throw WireError("tcp: truncated frame body");
-    }
-  }
-  std::uint8_t u8() {
-    need(1);
-    return bytes[at++];
-  }
-  std::uint16_t u16() {
-    need(2);
-    const std::uint16_t v = std::uint16_t(
-        std::uint16_t(bytes[at]) | (std::uint16_t(bytes[at + 1]) << 8));
-    at += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= std::uint32_t(bytes[at + std::size_t(i)]) << (8 * i);
-    }
-    at += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= std::uint64_t(bytes[at + std::size_t(i)]) << (8 * i);
-    }
-    at += 8;
-    return v;
-  }
-};
 
 /// Read exactly `n` bytes (the hello handshake, before a reader thread
 /// owns the socket). False on EOF/error.
@@ -212,8 +156,9 @@ void TcpTransport::start(DeliverFn deliver) {
       ::close(fd);
       throw std::runtime_error("TcpTransport: peer hung up mid-hello");
     }
-    FrameReader reader{
-        std::span<const std::uint8_t>(raw + kFramePrefixBytes, 5), 0};
+    ByteReader reader{
+        std::span<const std::uint8_t>(raw + kFramePrefixBytes, 5),
+        "tcp: hello frame"};
     if (reader.u8() != kFrameHello) {
       ::close(fd);
       throw std::runtime_error("TcpTransport: first frame was not hello");
@@ -429,7 +374,9 @@ void TcpTransport::reader_loop(std::size_t peer_rank) {
 
 void TcpTransport::handle_frame(std::size_t peer_rank,
                                 std::span<const std::uint8_t> body) {
-  FrameReader reader{body, 0};
+  // A short or lying frame is stream corruption and surfaces as
+  // WireError (the reader loop treats it as peer death), never as UB.
+  ByteReader reader{body, "tcp: frame body"};
   const std::uint8_t type = reader.u8();
   switch (type) {
     case kFrameRequest: {
@@ -442,12 +389,9 @@ void TcpTransport::handle_frame(std::size_t peer_rank,
       const std::uint64_t window = reader.u64();
       if (has_window) request.window_iteration = window;
       const std::uint64_t budget_us = reader.u64();
-      const std::uint16_t method_len = reader.u16();
-      reader.need(method_len);
-      request.method.assign(
-          reinterpret_cast<const char*>(body.data() + reader.at),
-          method_len);
-      reader.at += method_len;
+      const std::span<const std::uint8_t> method = reader.take(reader.u16());
+      request.method.assign(reinterpret_cast<const char*>(method.data()),
+                            method.size());
       if (reader.u8() != 0) {
         WireMessage msg = decode(body.subspan(reader.at));
         request.argument =

@@ -35,6 +35,63 @@ class WireError : public std::runtime_error {
   explicit WireError(const std::string& what) : std::runtime_error(what) {}
 };
 
+// ------------------------------------------------------------- byte codec
+//
+// Every binary layout here — wire messages, stream frame prefixes, TCP
+// frame bodies, node result blobs, checkpoint digest trailers — is
+// fixed-width little-endian, written with put_u* and read with ByteReader.
+
+inline void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
+  for (int i = 0; i < 2; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
+}
+inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
+}
+inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
+}
+
+/// Bounds-checked little-endian cursor over a byte span. A short or lying
+/// blob throws WireError("<context> truncated") instead of reading past
+/// the end. `context` is only touched on that error path, so it must
+/// outlive the reader (a string literal).
+struct ByteReader {
+  std::span<const std::uint8_t> bytes;
+  const char* context;
+  std::size_t at = 0;
+
+  void need(std::size_t n) const {
+    if (bytes.size() - at < n) {
+      throw WireError(std::string(context) + " truncated");
+    }
+  }
+  std::uint8_t u8() {
+    need(1);
+    return bytes[at++];
+  }
+  std::uint16_t u16() { return std::uint16_t(le(2)); }
+  std::uint32_t u32() { return std::uint32_t(le(4)); }
+  std::uint64_t u64() { return le(8); }
+  /// The next `n` bytes as a view into the blob.
+  std::span<const std::uint8_t> take(std::size_t n) {
+    need(n);
+    const std::span<const std::uint8_t> out = bytes.subspan(at, n);
+    at += n;
+    return out;
+  }
+
+ private:
+  std::uint64_t le(std::size_t n) {
+    need(n);
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      v |= std::uint64_t(bytes[at + i]) << (8 * i);
+    }
+    at += n;
+    return v;
+  }
+};
+
 /// A decoded message.
 struct WireMessage {
   std::uint64_t iteration = 0;

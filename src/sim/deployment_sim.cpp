@@ -38,101 +38,73 @@ struct StageNet {
 };
 
 /// Resolve a pull by node `from` over candidate responders [lo, hi)
-/// awaiting the fastest q replies. A degraded responder only costs the
-/// stage when the quorum cannot be met without it — fastest-q dodges slow
-/// links, stragglers and cut-off peers as long as enough healthy
-/// responders remain.
+/// awaiting the fastest q replies. Each edge (from, node) is classified
+/// with the live plane's own per-edge predicates — the ones delay(),
+/// byte_rate() and fault_verdict() consult — so both planes read one
+/// resolution of the spec. A degraded class only costs the stage when the
+/// quorum cannot be met without it: fastest-q dodges slow links,
+/// stragglers, cut-off peers, link-limited and fault-affected responders
+/// as long as enough healthy ones remain.
 StageNet resolve_pull(const SimSetup& s, std::size_t from, std::size_t lo,
                       std::size_t hi, std::size_t q) {
   const net::NetworkConditions& c = s.conditions;
-  StageNet net;
-  std::size_t avail = hi - lo;
-  std::size_t slow = c.count_slow(lo, hi);
-  std::size_t straggling = c.count_straggling(lo, hi, s.iteration);
-  std::size_t cross = c.count_cross(from, lo, hi, s.iteration);
-  if (from >= lo && from < hi) {  // peer pulls never await the puller
-    avail -= 1;
-    if (c.is_slow(from)) slow -= 1;
-    if (c.is_straggling(from, s.iteration)) straggling -= 1;
-  }
-  // Churn removes a down node from the candidate pool entirely — it is
-  // not slow, it is absent: the live plane refuses delivery to it, so the
-  // analytic plane shrinks the pool (and each degraded class the node
-  // belonged to) the same way. The quorum clamp below then reproduces the
-  // live trajectory q' = min(q, span - count_down).
-  if (c.has_churn()) {
-    for (std::size_t node = lo; node < hi; ++node) {
-      if (node == from || !c.churn_down(node, s.iteration)) continue;
-      avail -= 1;
-      if (c.is_slow(node) && slow > 0) slow -= 1;
-      if (c.is_straggling(node, s.iteration) && straggling > 0) straggling -= 1;
-      if (c.partitioned(from, node, s.iteration) && cross > 0) cross -= 1;
+  const std::uint64_t it = s.iteration;
+  std::size_t avail = 0, slow = 0, straggling = 0, cross = 0, limited = 0,
+              faulty = 0;
+  double limited_rate = 0.0;  // slowest responder-side link override
+  for (std::size_t node = lo; node < hi; ++node) {
+    // Peer pulls never await the puller; a churn-down node is absent, not
+    // slow — the live plane refuses delivery to it — so it leaves the pool
+    // and every class, and the clamp below reproduces the live quorum
+    // trajectory q' = min(q, span - count_down).
+    if (node == from || c.churn_down(node, it)) continue;
+    ++avail;
+    if (c.is_slow(from) || c.is_slow(node)) ++slow;
+    if (c.is_straggling(node, it)) ++straggling;
+    if (c.partitioned(from, node, it)) ++cross;
+    if (c.fault_active(from, node, it)) ++faulty;
+    const double link = c.link_rate_touching(node);
+    if (link > 0.0) {
+      ++limited;
+      limited_rate = limited_rate > 0.0 ? std::min(limited_rate, link) : link;
     }
   }
-  // A slow puller degrades every edge it uses, regardless of who answers.
-  if (c.is_slow(from)) slow = avail;
   q = std::min(q, avail);
-  if (q + slow > avail) net.link_factor = c.slow_factor();
-  if (q + straggling > avail) net.wait += c.straggler_lag_seconds(s.iteration);
-  if (q + cross > avail) net.wait += c.partition_lag_seconds(s.iteration);
-  // Bandwidth: the active wan rate binds every edge; the puller's own link
-  // overrides always bind (every reply crosses them); responder-side
-  // overrides bind only when the quorum cannot be met without a limited
-  // responder — the same fastest-q dodge as every other degraded class.
-  // The rate is pre-hetero: stage_time's degraded() derates bandwidth by
-  // the factor, matching the live byte_rate()'s rate / factor. (Churn
-  // shrinking the link-limited count is deliberately ignored — a small
-  // conservative approximation the crossval suite does not pin.)
-  {
-    double rate = c.wan_byte_rate(s.iteration);
-    const double own = c.link_rate_touching(from);
-    if (own > 0.0) rate = rate > 0.0 ? std::min(rate, own) : own;
-    std::size_t limited = c.count_link_limited(lo, hi);
-    if (from >= lo && from < hi && limited > 0 &&
-        c.link_rate_touching(from) > 0.0) {
-      limited -= 1;
-    }
-    if (limited > 0 && q + limited > avail) {
-      const double lim = c.min_link_rate(lo, hi);
-      if (lim > 0.0) rate = rate > 0.0 ? std::min(rate, lim) : lim;
-    }
-    net.byte_rate = rate;
-  }
+  const auto binds = [&](std::size_t count) { return q + count > avail; };
+
+  StageNet net;
+  if (binds(slow)) net.link_factor = c.slow_factor();
+  if (binds(straggling)) net.wait += c.straggler_lag_seconds(it);
+  if (binds(cross)) net.wait += c.partition_lag_seconds(it);
+  // Bandwidth: the active wan rate and the puller's own link overrides
+  // bind every edge; responder-side overrides bind like any degraded
+  // class. The rate is pre-hetero: stage_time's degraded() derates it by
+  // the factor, matching the live byte_rate()'s rate / factor.
+  double rate = c.wan_byte_rate(it);
+  const auto cap = [&rate](double r) {
+    if (r > 0.0) rate = rate > 0.0 ? std::min(rate, r) : r;
+  };
+  cap(c.link_rate_touching(from));
+  if (binds(limited)) cap(limited_rate);
+  net.byte_rate = rate;
   // Fault clause: a lost attempt (drop, or a corrupt frame the receiver's
   // CRC discards) surfaces on the live plane as a sender-side retry after
   // an exponential backoff — never as a hang. The analytic twin charges
   // the expected retry tail, p/(1-p) extra attempts each costing the
   // backoff floor plus a fresh edge traversal, and the expected
-  // delay-spike mass, whenever the quorum cannot be met without a
-  // fault-affected edge (the same fastest-q dodge as every other degraded
-  // class). An ideal spec — or an iteration outside the fault window —
-  // contributes exactly zero, which is what keeps the crossval
-  // equalities between conditioned and unconditioned breakdowns exact.
-  if (c.has_fault()) {
-    std::size_t faulty;
-    if (c.fault_active(from, from, s.iteration)) {
-      faulty = avail;  // the puller's own edges are in the clause's set
-    } else {
-      faulty = c.count_faulty(lo, hi, s.iteration);
-      if (c.has_churn()) {
-        for (std::size_t node = lo; node < hi; ++node) {
-          if (node == from || !c.churn_down(node, s.iteration)) continue;
-          if (faulty > 0 && c.fault_active(from, node, s.iteration)) --faulty;
-        }
-      }
-    }
-    if (faulty > 0 && q + faulty > avail) {
-      const double p = std::min(c.fault_loss_rate(), 0.99);
-      const double edge_latency =
-          s.link.latency + c.latency_seconds(s.iteration);
-      net.wait += p / (1.0 - p) * (kRetryBackoffFloor + edge_latency) +
-                  c.fault_spike_seconds();
-    }
+  // delay-spike mass. Outside the fault window no edge is active, which
+  // keeps the crossval equalities between conditioned and unconditioned
+  // breakdowns exact.
+  if (binds(faulty)) {
+    const double p = std::min(c.fault_loss_rate(), 0.99);
+    const double edge_latency = s.link.latency + c.latency_seconds(it);
+    net.wait += p / (1.0 - p) * (kRetryBackoffFloor + edge_latency) +
+                c.fault_spike_seconds();
   }
   // Expected tail of the q-th fastest of `avail` jittered replies: the
   // q-th order statistic of U[0, J) draws.
   if (avail > 0) {
-    net.wait += c.jitter_seconds(s.iteration) * double(q) / double(avail + 1);
+    net.wait += c.jitter_seconds(it) * double(q) / double(avail + 1);
   }
   return net;
 }

@@ -17,8 +17,9 @@
 //
 // Network conditions: the same net::NetworkConditions spec that drives the
 // live cluster drives this plane (the cross-validation contract). Per pull
-// stage the model resolves, from the parsed spec, whether the awaited
-// quorum can dodge the degraded responders:
+// stage the model classifies each candidate responder's edge with the same
+// per-edge predicates the live plane composes (net/conditions.h) and
+// resolves whether the awaited quorum can dodge the degraded responders:
 //  - heterogeneous slow links force the stage onto the degraded edge class
 //    (cost_model's degraded()) whenever q exceeds the fast responders;
 //  - an active straggler phase adds its full lag whenever q cannot be met

@@ -216,6 +216,30 @@ TEST(ChurnSim, ShrunkenQuorumTrimsTheJitterTail) {
   EXPECT_NEAR(before, after, 1e-12);
 }
 
+TEST(ChurnSim, CrashedNodesLinkOverrideNoLongerBinds) {
+  // The live plane never sends over a crashed node's edges, so its link:
+  // override cannot cap a stage either: with worker 3 down from the start,
+  // the breakdown is bit-identical to the same schedule without the link
+  // clause, in both quorum modes.
+  for (const bool async : {false, true}) {
+    gs::SimSetup with_link = sim_ssmw();
+    with_link.asynchronous = async;
+    with_link.conditions = gn::NetworkConditions::parse(
+        "churn:crash=3,at_iter=0;link:nodes=3,bw=5Mbps");
+    gs::SimSetup without_link = with_link;
+    without_link.conditions =
+        gn::NetworkConditions::parse("churn:crash=3,at_iter=0");
+    for (std::uint64_t it = 0; it < 3; ++it) {
+      with_link.iteration = without_link.iteration = it;
+      const gs::IterationBreakdown a = gs::simulate_iteration(with_link);
+      const gs::IterationBreakdown b = gs::simulate_iteration(without_link);
+      EXPECT_EQ(a.computation, b.computation) << "async=" << async;
+      EXPECT_EQ(a.communication, b.communication) << "async=" << async;
+      EXPECT_EQ(a.aggregation, b.aggregation) << "async=" << async;
+    }
+  }
+}
+
 // ------------------------------------------- live plane: quorum trajectory
 
 TEST(ChurnLive, SsmwTrajectoryMatchesTheScheduleOnBothPlanes) {
@@ -374,7 +398,7 @@ TEST(ChurnLive, RecoveredReplicaServesNothingStaleThroughTaggedPulls) {
                     {}, {}, {1});
   gc::Server replica(1, *cluster, garfield::nn::make_model("tiny_mlp", r1),
                      {}, {}, {0});
-  replica.enable_step_tagged_serving(/*models=*/true, /*aggr_grads=*/false);
+  replica.enable_step_tagged_serving();
   const std::vector<gn::NodeId> peers{1};
   const auto pull = [&](std::uint64_t tag) {
     return cluster->collect(0, peers, gc::kGetModel, tag, nullptr, 1,

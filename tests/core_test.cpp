@@ -242,12 +242,14 @@ TEST(ServerWorker, AggrGradGossip) {
                 {1});
   gc::Server s1(1, cluster, garfield::nn::make_model("tiny_mlp", r2), {}, {},
                 {0});
-  // Before publication: no reply, collect returns empty.
+  // A skipped round publishes "no contribution": the peer declines and
+  // collect returns empty instead of waiting out its deadline.
+  s1.skip_aggr_grad(0);
   auto none = s0.get_aggr_grads(0, 1, 0);
   EXPECT_TRUE(none.empty());
   gn::Payload grad(s1.dimension(), 2.5F);
-  s1.set_latest_aggr_grad(grad);
-  auto got = s0.get_aggr_grads(0, 1, 0);
+  s1.publish_aggr_grad(1, grad);
+  auto got = s0.get_aggr_grads(1, 1, 0);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], grad);
 }
@@ -264,10 +266,10 @@ TEST(ServerWorker, IngressValidationRejectsMalformedPayloads) {
   gc::Server s2(2, cluster, garfield::nn::make_model("tiny_mlp", r3), {}, {},
                 {0, 1});
   // s1 gossips a wrong-dimension vector, s2 a NaN-poisoned one.
-  s1.set_latest_aggr_grad(gn::Payload{1.0F, 2.0F});
+  s1.publish_aggr_grad(0, gn::Payload{1.0F, 2.0F});
   gn::Payload poisoned(s2.dimension(), 1.0F);
   poisoned[3] = std::numeric_limits<float>::quiet_NaN();
-  s2.set_latest_aggr_grad(poisoned);
+  s2.publish_aggr_grad(0, poisoned);
   auto got = s0.get_aggr_grads(0, 2, 0);
   EXPECT_TRUE(got.empty());
   EXPECT_EQ(s0.rejected_payloads(), 2u);
@@ -414,7 +416,7 @@ TEST(Deployments, NetStatsAccumulateTraffic) {
   // 10 iterations x 3 workers: one request+reply per worker per iteration.
   EXPECT_EQ(result.net_stats.requests_sent, 30u);
   EXPECT_EQ(result.net_stats.replies_received, 30u);
-  EXPECT_GT(result.net_stats.floats_transferred, 0u);
+  EXPECT_GT(result.net_stats.bytes_sent, 0u);
 }
 
 TEST(Deployments, DecentralizedUsesQuadraticMessages) {

@@ -52,8 +52,9 @@ TEST(NodeRange, ParsesSinglesAndRanges) {
   EXPECT_FALSE(single.contains(3));
   const gn::NodeRange range = gn::parse_node_range("0-3", "test");
   EXPECT_EQ(range.size(), 4u);
-  EXPECT_EQ(range.count_in(2, 10), 2u);  // {2, 3}
-  EXPECT_EQ(range.count_in(4, 10), 0u);
+  EXPECT_TRUE(range.contains(0));
+  EXPECT_TRUE(range.contains(3));  // inclusive upper bound
+  EXPECT_FALSE(range.contains(4));
 }
 
 TEST(NodeRange, RejectsMalformedAndInverted) {
@@ -212,12 +213,13 @@ TEST(NetworkConditions, ByteRateComposesWanLinksAndHetero) {
   EXPECT_DOUBLE_EQ(c.byte_rate(0, 3, 0), link);
   EXPECT_DOUBLE_EQ(c.byte_rate(3, 0, 0), link);
   EXPECT_DOUBLE_EQ(c.byte_rate(5, 0, 0), wan / 10.0);
-  // Sim-plane helpers agree with the per-edge resolution.
+  // The components the analytic plane composes agree with the per-edge
+  // resolution: only node 3 of [0, 8) is link-limited, at the link rate.
   EXPECT_DOUBLE_EQ(c.wan_byte_rate(0), wan);
-  EXPECT_DOUBLE_EQ(c.link_rate_touching(3), link);
-  EXPECT_DOUBLE_EQ(c.link_rate_touching(4), 0.0);
-  EXPECT_EQ(c.count_link_limited(0, 8), 1u);
-  EXPECT_DOUBLE_EQ(c.min_link_rate(0, 8), link);
+  for (std::size_t node = 0; node < 8; ++node) {
+    EXPECT_DOUBLE_EQ(c.link_rate_touching(node), node == 3 ? link : 0.0)
+        << "node " << node;
+  }
 }
 
 TEST(NetworkConditions, LinkOverrideWithoutWanStillLimits) {
@@ -305,18 +307,31 @@ TEST(NetworkConditions, WindowIterationOverridesTheScheduleKey) {
   EXPECT_EQ(c.delay(0, 1, "gossip", 25, 1), Duration{5000});
 }
 
-TEST(NetworkConditions, SimPlaneCountsMatchTheEdgePredicates) {
+TEST(NetworkConditions, EdgePredicatesClassifyAPullSpan) {
   const gn::NetworkConditions c = gn::NetworkConditions::parse(
       "hetero:slow_links=3-4,factor=10;"
       "straggler:nodes=10,lag=2ms,from_iter=1;"
       "partition:a=0-2,b=9-10,from_iter=2,len=1");
-  // Worker span [3, 11) of a nps=3, nw=8 deployment.
-  EXPECT_EQ(c.count_slow(3, 11), 2u);
-  EXPECT_EQ(c.count_straggling(3, 11, 0), 0u);
-  EXPECT_EQ(c.count_straggling(3, 11, 1), 1u);
-  EXPECT_EQ(c.count_cross(0, 3, 11, 2), 2u);  // server 0 loses workers 9-10
-  EXPECT_EQ(c.count_cross(0, 3, 11, 3), 0u);  // window closed
-  EXPECT_EQ(c.count_cross(5, 3, 11, 2), 0u);  // ungrouped node keeps all
+  // Worker span [3, 11) of a nps=3, nw=8 deployment, classified one
+  // responder at a time the way the analytic plane's pull resolution does.
+  const auto in_span = [](auto&& pred) {
+    std::size_t n = 0;
+    for (std::size_t node = 3; node < 11; ++node) n += pred(node) ? 1 : 0;
+    return n;
+  };
+  EXPECT_EQ(in_span([&](std::size_t n) { return c.is_slow(n); }), 2u);
+  EXPECT_EQ(in_span([&](std::size_t n) { return c.is_straggling(n, 0); }),
+            0u);
+  EXPECT_EQ(in_span([&](std::size_t n) { return c.is_straggling(n, 1); }),
+            1u);
+  // Server 0 loses workers 9-10 while the window is open, none after it
+  // closes; an ungrouped puller keeps every responder.
+  EXPECT_EQ(in_span([&](std::size_t n) { return c.partitioned(0, n, 2); }),
+            2u);
+  EXPECT_EQ(in_span([&](std::size_t n) { return c.partitioned(0, n, 3); }),
+            0u);
+  EXPECT_EQ(in_span([&](std::size_t n) { return c.partitioned(5, n, 2); }),
+            0u);
 }
 
 // --------------------------------------------------------- fault injection
@@ -381,10 +396,21 @@ TEST(NetworkConditions, FaultWindowAndEdgeSetGateTheVerdicts) {
       c.fault_verdict(0, 1, "m", 12, /*seed=*/1, /*attempt=*/0).any());
   EXPECT_FALSE(
       c.fault_verdict(0, 2, "m", 9, /*seed=*/1, /*attempt=*/0).any());
-  // count_faulty mirrors the same gate for the analytic plane.
-  EXPECT_EQ(c.count_faulty(0, 6, 9), 0u);
-  EXPECT_EQ(c.count_faulty(0, 6, 12), 2u);
-  EXPECT_EQ(c.count_faulty(4, 6, 12), 0u);
+  // Per responder, as the analytic plane classifies a pull: a puller off
+  // the edge set sees exactly the responders inside it, none outside the
+  // window; a puller on the edge set has every edge affected.
+  const auto affected = [&](std::size_t from, std::size_t lo, std::size_t hi,
+                            std::uint64_t it) {
+    std::size_t n = 0;
+    for (std::size_t node = lo; node < hi; ++node) {
+      n += c.fault_active(from, node, it) ? 1 : 0;
+    }
+    return n;
+  };
+  EXPECT_EQ(affected(5, 0, 5, 9), 0u);
+  EXPECT_EQ(affected(5, 0, 5, 12), 2u);
+  EXPECT_EQ(affected(5, 4, 5, 12), 0u);
+  EXPECT_EQ(affected(2, 4, 8, 12), 4u);
 }
 
 TEST(NetworkConditions, FaultVerdictsAreDeterministicAndExclusive) {

@@ -319,8 +319,13 @@ TEST(Cluster, StatsCountTraffic) {
   const gn::NetStats stats = cluster.stats();
   EXPECT_EQ(stats.requests_sent, 2u);
   EXPECT_EQ(stats.replies_received, 2u);
-  // 2 requests x 5 floats + 2 replies x 10 floats.
-  EXPECT_EQ(stats.floats_transferred, 30u);
+  // 2 framed requests carrying 5 floats + 2 framed replies carrying 10.
+  gn::Request request;
+  request.method = "echo";
+  request.argument = arg;
+  const auto reply = std::make_shared<const gn::Payload>(10, 0.0F);
+  EXPECT_EQ(stats.bytes_sent, 2 * (gn::request_frame_bytes(request) +
+                                   gn::reply_frame_bytes(reply)));
   EXPECT_EQ(stats.wasted_replies, 0u);
   EXPECT_EQ(stats.dropped_tasks, 0u);
 }
@@ -346,7 +351,7 @@ TEST(Cluster, StatsSnapshotStaysCoherentUnderConcurrentLoad) {
     ASSERT_LE(s.replies_received, s.requests_sent) << "sample " << i;
     ASSERT_GE(s.requests_sent, prev.requests_sent) << "sample " << i;
     ASSERT_GE(s.replies_received, prev.replies_received) << "sample " << i;
-    ASSERT_GE(s.floats_transferred, prev.floats_transferred) << "sample " << i;
+    ASSERT_GE(s.bytes_sent, prev.bytes_sent) << "sample " << i;
     ASSERT_GE(s.wasted_replies, prev.wasted_replies) << "sample " << i;
     ASSERT_GE(s.quorum_misses, prev.quorum_misses) << "sample " << i;
     ASSERT_GE(s.dropped_tasks, prev.dropped_tasks) << "sample " << i;

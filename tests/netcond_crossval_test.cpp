@@ -243,11 +243,11 @@ TEST(NetcondCrossval, DecentralizedFabricLoadDominatesOnBothPlanes) {
   EXPECT_GT(sim_dec_ratio, 2.5);
   EXPECT_LT(sim_ps_ratio, 2.3);
 
-  // Live plane: floats_transferred is exact on the in-process transport —
-  // the decentralized all-to-all moves O(n^2) floats per iteration where
-  // the parameter server moves O(n).
+  // Live plane: bytes_sent is exact on the in-process transport — the
+  // decentralized all-to-all moves O(n^2) frames per iteration where the
+  // parameter server moves O(n).
   garfield::tensor::set_parallel_threads(1);
-  const auto live_floats = [](gc::Deployment dep, std::size_t n) {
+  const auto live_bytes = [](gc::Deployment dep, std::size_t n) {
     gc::DeploymentConfig cfg;
     cfg.deployment = dep;
     cfg.model = "tiny_mlp";
@@ -262,13 +262,13 @@ TEST(NetcondCrossval, DecentralizedFabricLoadDominatesOnBothPlanes) {
     cfg.iterations = 2;
     cfg.eval_every = 0;
     cfg.seed = 7;
-    return double(gc::train(cfg).net_stats.floats_transferred);
+    return double(gc::train(cfg).net_stats.bytes_sent);
   };
   const double live_dec_ratio =
-      live_floats(gc::Deployment::kDecentralized, 8) /
-      live_floats(gc::Deployment::kDecentralized, 4);
-  const double live_ps_ratio = live_floats(gc::Deployment::kSsmw, 8) /
-                               live_floats(gc::Deployment::kSsmw, 4);
+      live_bytes(gc::Deployment::kDecentralized, 8) /
+      live_bytes(gc::Deployment::kDecentralized, 4);
+  const double live_ps_ratio = live_bytes(gc::Deployment::kSsmw, 8) /
+                               live_bytes(gc::Deployment::kSsmw, 4);
   garfield::tensor::set_parallel_threads(0);
   EXPECT_GT(live_dec_ratio, 3.0);
   EXPECT_LT(live_ps_ratio, 3.0);

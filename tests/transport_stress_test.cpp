@@ -18,13 +18,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/config.h"
+#include "core/server.h"
 #include "core/trainer.h"
+#include "core/worker.h"
+#include "net/transport.h"
 #include "tensor/parallel.h"
 
 namespace gc = garfield::core;
+namespace gn = garfield::net;
 
 namespace {
 
@@ -60,7 +65,7 @@ void expect_identical(const gc::TrainResult& a, const gc::TrainResult& b,
   }
   EXPECT_EQ(a.final_accuracy, b.final_accuracy) << what;
   EXPECT_EQ(a.final_loss, b.final_loss) << what;
-  EXPECT_EQ(a.net_stats.floats_transferred, b.net_stats.floats_transferred)
+  EXPECT_EQ(a.net_stats.bytes_sent, b.net_stats.bytes_sent)
       << what << " traffic diverged";
 }
 
@@ -92,13 +97,21 @@ TEST(TransportStress, MsmwHighFanInIsBitwiseDeterministic) {
   // quorum and teardown must not drop dispatches.
   EXPECT_EQ(serial.net_stats.wasted_replies, 0u);
   EXPECT_EQ(serial.net_stats.dropped_tasks, 0u);
-  // Traffic is exactly computable: per iteration every server moves
-  // nw request arguments + nw gradient replies + (nps-1) model replies.
+  // Traffic is exactly computable: per iteration every server sends nw
+  // model-carrying gradient pulls and (nps-1) bare model pulls, and each
+  // is answered with one d-float reply.
   const std::uint64_t d = 874;  // tiny_mlp parameter count
+  const auto model = std::make_shared<const gn::Payload>(d, 0.0F);
+  gn::Request grad_pull;
+  grad_pull.method = gc::kGetGradient;
+  grad_pull.argument = model;
+  gn::Request model_pull;
+  model_pull.method = gc::kGetModel;
+  const std::uint64_t reply = gn::reply_frame_bytes(model);
   const std::uint64_t per_iter =
-      cfg.nps * (2 * cfg.nw * d + (cfg.nps - 1) * d);
-  EXPECT_EQ(serial.net_stats.floats_transferred,
-            cfg.iterations * per_iter);
+      cfg.nps * (cfg.nw * (gn::request_frame_bytes(grad_pull) + reply) +
+                 (cfg.nps - 1) * (gn::request_frame_bytes(model_pull) + reply));
+  EXPECT_EQ(serial.net_stats.bytes_sent, cfg.iterations * per_iter);
   // The gradient cache must actually bite: all nps replicas are bitwise
   // identical here, so every worker runs ONE forward/backward per
   // iteration and serves it nps times.
