@@ -1,10 +1,11 @@
 #include "net/codec.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <numeric>
+#include <functional>
 #include <stdexcept>
 
 #include "util/spec.h"
@@ -25,6 +26,10 @@ float magic_float(std::uint32_t word) { return std::bit_cast<float>(word); }
 
 std::uint32_t float_bits(float f) { return std::bit_cast<std::uint32_t>(f); }
 
+/// |x| as its bit pattern: ordered like |x| for every non-NaN x, with NaNs
+/// above +inf.
+std::uint32_t magnitude(float x) { return float_bits(x) & 0x7fffffffU; }
+
 /// Exact small-integer check for header fields shipped as floats (d and k
 /// stay exact below 2^24, far above any test or bench dimension).
 bool integral_in_range(float f, double max, std::size_t& out) {
@@ -35,12 +40,60 @@ bool integral_in_range(float f, double max, std::size_t& out) {
   return true;
 }
 
-/// Deterministic int8 quantization step: symmetric linear, round-half-away
-/// (std::lround), saturating at the int8 rails.
-std::int8_t quantize(float x, float scale) {
-  if (scale <= 0.0F || !std::isfinite(x)) return 0;
-  const long q = std::lround(double(x) / double(scale));
-  return std::int8_t(std::clamp<long>(q, -127, 127));
+/// Deterministic int8 quantization step: std::lround(double(x) / scale)
+/// clamped to the int8 rails, written without libm or a floating-point
+/// branch so the encode loop vectorizes. A non-finite x is masked to +0
+/// and quantizes to 0. The quotient is truncated; adding int(2 * frac)
+/// adds ±1 exactly when |frac| >= 0.5 (both steps are exact in double),
+/// which is lround's round-half-away rule. Precondition: scale > 0 and
+/// |x| / scale < 2^31 — true for scale = max finite |x| / 127, where the
+/// quotient stays below 191 even for a subnormal scale.
+int quantize(float x, double scale) {
+  std::uint32_t bits = float_bits(x);
+  bits &= 0U - std::uint32_t((bits & 0x7f800000U) != 0x7f800000U);
+  const double v = double(std::bit_cast<float>(bits)) / scale;
+  const int whole = int(v);
+  const int q = whole + int(2.0 * (v - double(whole)));
+  return q < -127 ? -127 : (q > 127 ? 127 : q);
+}
+
+/// topk's selection order: the magnitude bits (sign cleared) in the high
+/// word, then the complemented index, so a larger key is heavier and equal
+/// magnitudes go to the lower index. Distinct coordinates never tie.
+std::uint64_t topk_key(float x, std::size_t i) {
+  return (std::uint64_t(magnitude(x)) << 32) |
+         (0xffffffffU - std::uint32_t(i));
+}
+
+/// The indices of the kc heaviest coordinates of x[0, d) in topk_key
+/// order, ascending, for kc <= d. A histogram of the top 12 magnitude bits
+/// finds the bin where the kc-th heaviest lies; only the coordinates in
+/// that bin or above it (about kc of them) are keyed and ordered.
+std::vector<std::uint32_t> topk_select(const float* x, std::size_t d,
+                                       std::size_t kc) {
+  std::vector<std::uint32_t> chosen;
+  if (kc == 0) return chosen;
+  constexpr int kBinShift = 19;  // 31 magnitude bits -> 4096 bins
+  std::array<std::uint32_t, std::size_t(1) << (31 - kBinShift)> hist{};
+  for (std::size_t i = 0; i < d; ++i) ++hist[magnitude(x[i]) >> kBinShift];
+  std::size_t above = 0;  // coordinates in bins heavier than `bin`
+  std::size_t bin = hist.size() - 1;
+  while (above + hist[bin] < kc) above += hist[bin--];
+  // Every candidate's key, in index order.
+  const std::uint32_t floor = std::uint32_t(bin) << kBinShift;
+  std::vector<std::uint64_t> candidates;
+  candidates.reserve(above + hist[bin]);
+  for (std::size_t i = 0; i < d; ++i) {
+    if (magnitude(x[i]) >= floor) candidates.push_back(topk_key(x[i], i));
+  }
+  std::vector<std::uint64_t> ranked = candidates;
+  const auto kth = ranked.begin() + std::ptrdiff_t(kc - 1);
+  std::nth_element(ranked.begin(), kth, ranked.end(), std::greater<>());
+  chosen.reserve(kc);
+  for (const std::uint64_t key : candidates) {
+    if (key >= *kth) chosen.push_back(0xffffffffU - std::uint32_t(key));
+  }
+  return chosen;
 }
 
 }  // namespace
@@ -97,68 +150,63 @@ Payload Codec::encode_gradient(const Payload& dense,
   if (spec_.kind == CodecKind::kNone) return dense;
   const std::size_t d = dense.size();
   // Error feedback: compress (gradient + carried residual), then remember
-  // what the compression dropped for the next round.
-  Payload compensated = dense;
+  // what the compression dropped for the next round. The sum is built in
+  // the residual itself, which then keeps exactly what was not sent.
+  const float* compensated = dense.data();
   if (residual != nullptr) {
     if (residual->size() != d) residual->assign(d, 0.0F);
-    tensor::add(compensated, *residual, compensated);
+    tensor::add(dense, *residual, *residual);
+    compensated = residual->data();
   }
 
   if (spec_.kind == CodecKind::kInt8) {
-    float max_abs = 0.0F;
-    for (const float x : compensated) {
-      if (std::isfinite(x)) max_abs = std::max(max_abs, std::abs(x));
+    // Largest finite |x|, compared as magnitude bits: for finite values
+    // their integer order is the order of |x|. Signed, because a signed
+    // max reduction vectorizes on baseline x86-64 and an unsigned one does
+    // not; the sign bit is clear.
+    std::int32_t max_mag = 0;
+    for (std::size_t i = 0; i < d; ++i) {
+      const auto mag = std::int32_t(magnitude(compensated[i]));
+      max_mag = std::max(max_mag, mag < 0x7f800000 ? mag : 0);
     }
-    const float scale = max_abs / 127.0F;
-    Payload out;
-    out.reserve(3 + (d + 3) / 4);
-    out.push_back(magic_float(kInt8Magic));
-    out.push_back(float(d));
-    out.push_back(scale);
-    for (std::size_t i = 0; i < d; i += 4) {
-      std::int8_t packed[4] = {0, 0, 0, 0};
-      for (std::size_t j = 0; j < 4 && i + j < d; ++j) {
-        packed[j] = quantize(compensated[i + j], scale);
-        if (residual != nullptr) {
-          (*residual)[i + j] =
-              compensated[i + j] - float(packed[j]) * scale;
-        }
+    const float scale = std::bit_cast<float>(max_mag) / 127.0F;
+    // Zero-filled slots: padding bytes of the last slot stay 0.
+    Payload out(3 + (d + 3) / 4, 0.0F);
+    out[0] = magic_float(kInt8Magic);
+    out[1] = float(d);
+    out[2] = scale;
+    // The i-th int8 is byte i of the packed slots.
+    auto* packed = reinterpret_cast<unsigned char*>(out.data() + 3);
+    if (scale > 0.0F) {
+      for (std::size_t i = 0; i < d; ++i) {
+        packed[i] =
+            static_cast<unsigned char>(quantize(compensated[i], scale));
       }
-      float slot;
-      std::memcpy(&slot, packed, sizeof(slot));
-      out.push_back(slot);
+    }
+    if (residual != nullptr) {
+      float* r = residual->data();
+      for (std::size_t i = 0; i < d; ++i) {
+        r[i] -= float(static_cast<std::int8_t>(packed[i])) * scale;
+      }
     }
     return out;
   }
 
-  // topk: keep the k largest-|value| coordinates, ties to the lower index
-  // so the selection (and therefore the whole trajectory) is
-  // deterministic.
+  // topk: keep the kc heaviest coordinates in topk_key order (|x|
+  // descending, ties to the lower index), so the selection — and therefore
+  // the whole trajectory — is deterministic, and emit them by ascending
+  // index.
   const std::size_t kc = spec_.topk_count(d);
-  std::vector<std::uint32_t> order(d);
-  std::iota(order.begin(), order.end(), 0U);
-  const auto heavier = [&](std::uint32_t a, std::uint32_t b) {
-    const float fa = std::abs(compensated[a]);
-    const float fb = std::abs(compensated[b]);
-    if (fa != fb) return fa > fb;
-    return a < b;
-  };
-  if (kc < d) {
-    std::nth_element(order.begin(), order.begin() + std::ptrdiff_t(kc),
-                     order.end(), heavier);
-    order.resize(kc);
-  }
-  std::sort(order.begin(), order.end());  // canonical ascending-index form
+  const std::vector<std::uint32_t> chosen = topk_select(compensated, d, kc);
   Payload out;
   out.reserve(3 + 2 * kc);
   out.push_back(magic_float(kTopkMagic));
   out.push_back(float(d));
   out.push_back(float(kc));
-  for (const std::uint32_t idx : order) out.push_back(float(idx));
-  for (const std::uint32_t idx : order) out.push_back(compensated[idx]);
+  for (const std::uint32_t idx : chosen) out.push_back(float(idx));
+  for (const std::uint32_t idx : chosen) out.push_back(compensated[idx]);
   if (residual != nullptr) {
-    *residual = std::move(compensated);
-    for (const std::uint32_t idx : order) (*residual)[idx] = 0.0F;
+    for (const std::uint32_t idx : chosen) (*residual)[idx] = 0.0F;
   }
   return out;
 }

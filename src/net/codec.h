@@ -19,6 +19,14 @@
 //                                    largest-|value| coordinates as
 //                                    (index, value) pairs (k in (0, 1])
 //
+// topk ranks coordinates by the bit pattern of |x| (the sign bit cleared):
+// for finite values and ±inf that is the order of |x|, and every NaN ranks
+// above ±inf (NaNs among themselves by payload bits). Equal magnitudes go
+// to the lower index, so the order is total and the selection is the same
+// on every run, whatever the input holds. int8 stores
+// lround(x / scale) clamped to ±127, with scale = max finite |x| / 127;
+// non-finite coordinates store 0.
+//
 // Two payload classes, because one lossy knob does not fit both:
 //
 //  - *gradient* payloads (worker gradient replies, decentralized gradient

@@ -9,18 +9,34 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x44465247;  // "GRFD" little-endian
 constexpr std::uint32_t kVersion = 1;
+constexpr std::size_t kCrcOffset = 24;
 constexpr std::size_t kHeaderSize = 28;
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320:
+/// t[0] is the classic bytewise table, and t[s][i] is the CRC of byte i
+/// followed by s zero bytes, so eight table lookups advance eight bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1U) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t s = 1; s < t.size(); ++s) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xFFU];
+    }
+  }
+  return t;
+}
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return std::uint32_t(p[0]) | std::uint32_t(p[1]) << 8 |
+         std::uint32_t(p[2]) << 16 | std::uint32_t(p[3]) << 24;
 }
 
 struct Header {
@@ -57,9 +73,18 @@ std::uint32_t u32_at(std::span<const std::uint8_t> bytes, std::size_t at) {
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   std::uint32_t c = 0xFFFFFFFFU;
-  for (std::uint8_t b : bytes) c = table[(c ^ b) & 0xFFU] ^ (c >> 8);
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFU] ^ t[6][(lo >> 8) & 0xFFU] ^
+        t[5][(lo >> 16) & 0xFFU] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFU] ^
+        t[2][(hi >> 8) & 0xFFU] ^ t[1][(hi >> 16) & 0xFFU] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFU] ^ (c >> 8);
   return c ^ 0xFFFFFFFFU;
 }
 
@@ -73,13 +98,14 @@ std::vector<std::uint8_t> encode(std::uint64_t iteration,
   put_u32(out, kVersion);
   put_u64(out, iteration);
   put_u64(out, std::uint64_t(payload.size()));
-  // Payload bytes, then backfill the CRC slot.
-  std::vector<std::uint8_t> body(payload.size() * 4);
-  if (!payload.empty()) {
-    std::memcpy(body.data(), payload.data(), body.size());
+  put_u32(out, 0);  // CRC slot, backfilled once the payload is in place
+  const auto* body = reinterpret_cast<const std::uint8_t*>(payload.data());
+  out.insert(out.end(), body, body + 4 * payload.size());
+  const std::uint32_t crc =
+      crc32(std::span<const std::uint8_t>(out).subspan(kHeaderSize));
+  for (int i = 0; i < 4; ++i) {
+    out[kCrcOffset + i] = std::uint8_t(crc >> (8 * i));
   }
-  put_u32(out, crc32(body));
-  out.insert(out.end(), body.begin(), body.end());
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -47,6 +48,13 @@ Tensor Linear::forward(Tensor input, bool /*train*/) {
 }
 
 Tensor Linear::backward(Tensor grad_output) {
+  // dX = dY @ W ({b,out} x {out,in})
+  Tensor grad_input = tensor::matmul(grad_output, weight_);
+  backward_params(std::move(grad_output));
+  return grad_input;
+}
+
+void Linear::backward_params(Tensor grad_output) {
   assert(grad_output.rank() == 2 && grad_output.dim(1) == out_);
   const std::size_t b = grad_output.dim(0);
   // dW += dY^T @ X  ({out,b} x {b,in})
@@ -55,8 +63,6 @@ Tensor Linear::backward(Tensor grad_output) {
   for (std::size_t i = 0; i < b; ++i)
     for (std::size_t j = 0; j < out_; ++j)
       grad_bias_[j] += grad_output.at(i, j);
-  // dX = dY @ W ({b,out} x {out,in})
-  return tensor::matmul(grad_output, weight_);
 }
 
 std::vector<Param> Linear::params() {
@@ -205,13 +211,24 @@ Tensor Conv2d::forward(Tensor input, bool train) {
 }
 
 Tensor Conv2d::backward(Tensor grad_output) {
+  return backprop(grad_output, /*input_grad=*/true);
+}
+
+void Conv2d::backward_params(Tensor grad_output) {
+  (void)backprop(grad_output, /*input_grad=*/false);
+}
+
+Tensor Conv2d::backprop(const Tensor& grad_output, bool input_grad) {
   const std::size_t b = input_shape_[0], h = input_shape_[2],
                     w = input_shape_[3];
   const std::size_t oh = grad_output.dim(2), ow = grad_output.dim(3);
   const std::size_t ckk = in_ch_ * kernel_ * kernel_, spatial = oh * ow;
   assert(cols_.dim(0) == b);  // backward needs a train=true forward
-  reuse(dcols_, {ckk, spatial});
-  Tensor grad_input(input_shape_);
+  Tensor grad_input;
+  if (input_grad) {
+    reuse(dcols_, {ckk, spatial});
+    grad_input = Tensor(input_shape_);
+  }
   for (std::size_t n = 0; n < b; ++n) {
     const float* dy = grad_output.data().data() + n * out_ch_ * spatial;
     const float* cols = cols_.data().data() + n * ckk * spatial;
@@ -223,6 +240,7 @@ Tensor Conv2d::backward(Tensor grad_output) {
       for (std::size_t s = 0; s < spatial; ++s) sum += dy[ch * spatial + s];
       grad_bias_[ch] = sum;
     }
+    if (!input_grad) continue;
     // dcols = W^T dY_n: {out_ch, ckk}^T x {out_ch, oh*ow}.
     dcols_.zero();
     tensor::gemm_tn(ckk, spatial, out_ch_, weight_.data().data(), dy,
@@ -423,6 +441,13 @@ Tensor Sequential::backward(Tensor grad_output) {
   for (auto it = modules_.rbegin(); it != modules_.rend(); ++it)
     grad_output = (*it)->backward(std::move(grad_output));
   return grad_output;
+}
+
+void Sequential::backward_params(Tensor grad_output) {
+  if (modules_.empty()) return;
+  for (auto it = modules_.rbegin(); std::next(it) != modules_.rend(); ++it)
+    grad_output = (*it)->backward(std::move(grad_output));
+  modules_.front()->backward_params(std::move(grad_output));
 }
 
 std::vector<Param> Sequential::params() {

@@ -17,6 +17,7 @@ class Linear : public Module {
 
   Tensor forward(Tensor input, bool train) override;
   Tensor backward(Tensor grad_output) override;
+  void backward_params(Tensor grad_output) override;
   std::vector<Param> params() override;
   [[nodiscard]] std::string name() const override { return "Linear"; }
 
@@ -65,10 +66,15 @@ class Conv2d : public Module {
 
   Tensor forward(Tensor input, bool train) override;
   Tensor backward(Tensor grad_output) override;
+  void backward_params(Tensor grad_output) override;
   std::vector<Param> params() override;
   [[nodiscard]] std::string name() const override { return "Conv2d"; }
 
  private:
+  /// backward(), with the input gradient computed only when `input_grad`
+  /// (otherwise an empty tensor is returned).
+  Tensor backprop(const Tensor& grad_output, bool input_grad);
+
   [[nodiscard]] std::size_t out_size(std::size_t in) const {
     return (in + 2 * padding_ - kernel_) / stride_ + 1;
   }
@@ -165,6 +171,8 @@ class Sequential : public Module {
 
   Tensor forward(Tensor input, bool train) override;
   Tensor backward(Tensor grad_output) override;
+  /// backward(), ending in the first module's backward_params().
+  void backward_params(Tensor grad_output) override;
   std::vector<Param> params() override;
   [[nodiscard]] std::string name() const override { return "Sequential"; }
 

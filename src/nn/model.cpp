@@ -49,7 +49,8 @@ GradientResult Model::gradient(const Tensor& inputs,
   zero_grad();
   const Tensor logits = net_->forward(inputs, /*train=*/true);
   LossResult loss = loss_fn_.compute(logits, labels);
-  net_->backward(std::move(loss.grad));
+  // Nobody reads dL/d(inputs): only the parameter gradients are needed.
+  net_->backward_params(std::move(loss.grad));
   GradientResult result;
   result.loss = loss.value;
   result.gradient.reserve(dimension_);

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -42,6 +43,14 @@ class Module {
 
   virtual Tensor forward(Tensor input, bool train) = 0;
   virtual Tensor backward(Tensor grad_output) = 0;
+
+  /// backward() for a module whose input gradient nobody reads, such as
+  /// the first layer of a network: accumulates dL/dW exactly as backward()
+  /// does and may skip dL/d(input). The default runs backward() and drops
+  /// the result.
+  virtual void backward_params(Tensor grad_output) {
+    (void)backward(std::move(grad_output));
+  }
 
   /// Learnable parameters in a fixed, deterministic order.
   virtual std::vector<Param> params() { return {}; }

@@ -1,14 +1,19 @@
 // Tests for the gradient-compression wire codecs (net/codec.h): spec
 // parsing, round-trips, the int8 saturation rails, top-k selection and
 // index canonicalization, error-feedback residuals, degenerate tensors
-// (empty, denormal, tiny) and the Byzantine-garbage ingress gate.
+// (empty, denormal, tiny), non-finite inputs, the Byzantine-garbage
+// ingress gate, and a bitwise oracle check of the encode kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <numeric>
 
+#include "core/trainer.h"
 #include "net/codec.h"
 #include "tensor/rng.h"
 
@@ -25,6 +30,112 @@ gn::Payload random_payload(std::size_t d, std::uint64_t seed) {
   gt::Rng rng(seed);
   gn::Payload out(d);
   for (float& x : out) x = rng.normal(0.0F, 1.0F);
+  return out;
+}
+
+/// Bitwise equality: the codec frames open with NaN magic words, so
+/// float == would call equal frames different.
+bool same_bits(const gn::Payload& a, const gn::Payload& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+/// The straightforward encoder the kernels in net/codec.cpp must match bit
+/// for bit on finite input: topk by nth_element over every index with an
+/// |x| comparator then a sort, int8 by std::lround per coordinate.
+gn::Payload reference_encode(const gn::CodecSpec& spec,
+                             const gn::Payload& dense,
+                             gn::Payload* residual) {
+  const std::size_t d = dense.size();
+  gn::Payload compensated = dense;
+  if (residual != nullptr) {
+    if (residual->size() != d) residual->assign(d, 0.0F);
+    for (std::size_t i = 0; i < d; ++i) {
+      compensated[i] = dense[i] + (*residual)[i];
+    }
+  }
+  gn::Payload out;
+  if (spec.kind == gn::CodecKind::kInt8) {
+    float max_abs = 0.0F;
+    for (const float x : compensated) {
+      if (std::isfinite(x)) max_abs = std::max(max_abs, std::abs(x));
+    }
+    const float scale = max_abs / 127.0F;
+    const auto quantize = [scale](float x) -> std::int8_t {
+      if (scale <= 0.0F || !std::isfinite(x)) return 0;
+      const long q = std::lround(double(x) / double(scale));
+      return std::int8_t(std::clamp<long>(q, -127, 127));
+    };
+    out = {std::bit_cast<float>(0x7fc06938U), float(d), scale};
+    for (std::size_t i = 0; i < d; i += 4) {
+      std::int8_t packed[4] = {0, 0, 0, 0};
+      for (std::size_t j = 0; j < 4 && i + j < d; ++j) {
+        packed[j] = quantize(compensated[i + j]);
+        if (residual != nullptr) {
+          (*residual)[i + j] = compensated[i + j] - float(packed[j]) * scale;
+        }
+      }
+      float slot;
+      std::memcpy(&slot, packed, sizeof(slot));
+      out.push_back(slot);
+    }
+    return out;
+  }
+  const std::size_t kc = spec.topk_count(d);
+  std::vector<std::uint32_t> order(d);
+  std::iota(order.begin(), order.end(), 0U);
+  const auto heavier = [&](std::uint32_t a, std::uint32_t b) {
+    const float fa = std::abs(compensated[a]);
+    const float fb = std::abs(compensated[b]);
+    if (fa != fb) return fa > fb;
+    return a < b;
+  };
+  if (kc < d) {
+    std::nth_element(order.begin(), order.begin() + std::ptrdiff_t(kc),
+                     order.end(), heavier);
+    order.resize(kc);
+  }
+  std::sort(order.begin(), order.end());
+  out = {std::bit_cast<float>(0x7fc0674bU), float(d), float(kc)};
+  for (const std::uint32_t idx : order) out.push_back(float(idx));
+  for (const std::uint32_t idx : order) out.push_back(compensated[idx]);
+  if (residual != nullptr) {
+    *residual = std::move(compensated);
+    for (const std::uint32_t idx : order) (*residual)[idx] = 0.0F;
+  }
+  return out;
+}
+
+/// Values on the int8 grid of scale 2^-7 with the rails at ±127 * 2^-7, so
+/// the quotient x / scale is exact: every kind of coordinate lands exactly
+/// on a half step (m + 0.5), on a rail, or on a magnitude tie, and both
+/// signed zeros appear.
+gn::Payload grid_payload(std::size_t d, std::uint64_t seed) {
+  gt::Rng rng(seed);
+  constexpr float kStep = 1.0F / 128.0F;
+  gn::Payload out(d);
+  for (std::size_t i = 0; i < d; ++i) {
+    const float sign = rng.bernoulli(0.5) ? -1.0F : 1.0F;
+    switch (rng.index(5)) {
+      case 0:  // exact half step, including ±0.5 and ±126.5
+        out[i] = sign * (float(rng.index(127)) + 0.5F) * kStep;
+        break;
+      case 1:  // a rail
+        out[i] = sign * 127.0F * kStep;
+        break;
+      case 2:  // one of a few magnitudes, so topk's boundary is a tie
+        out[i] = sign * float(1 + rng.index(3)) * kStep;
+        break;
+      case 3:  // +0 or -0
+        out[i] = sign * 0.0F;
+        break;
+      default:  // anywhere between the rails
+        out[i] = rng.uniform(-127.0F, 127.0F) * kStep;
+    }
+  }
+  // Pin the scale: max |x| is the rail, so scale = 2^-7 exactly.
+  if (d > 0) out[0] = 127.0F * kStep;
   return out;
 }
 
@@ -312,4 +423,117 @@ TEST(Codec, MagicWordsAreQuietNans) {
   EXPECT_TRUE(gn::Codec::looks_encoded(wire));
   EXPECT_FALSE(gn::Codec::looks_encoded(random_payload(8, 10)));
   EXPECT_FALSE(gn::Codec::looks_encoded({}));
+}
+
+// ------------------------------------------------------- non-finite input
+
+TEST(Codec, TopkOrdersNonFiniteInputsDeterministically) {
+  // A nan_poison Byzantine worker encodes its crafted gradient with the
+  // configured codec, so topk must select from NaN and ±inf coordinates
+  // with a total order: NaN above ±inf above every finite magnitude.
+  const gn::Codec codec = make("topk:k=0.1");  // d=64 -> keep 6
+  gn::Payload dense = random_payload(64, 20);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  dense[3] = nan;
+  dense[10] = -nan;
+  dense[20] = inf;
+  dense[41] = -inf;
+  dense[50] = std::bit_cast<float>(0x7fa00001U);  // signalling-NaN bits
+  const gn::Payload first = codec.encode_gradient(dense);
+  const gn::Payload second = codec.encode_gradient(dense);
+  EXPECT_TRUE(same_bits(first, second));
+  ASSERT_EQ(first.size(), 3U + 2U * 6U);
+  // Every NaN and inf ranks above every finite coordinate.
+  std::vector<float> indices(first.begin() + 3, first.begin() + 9);
+  for (const float idx : {3.0F, 10.0F, 20.0F, 41.0F, 50.0F}) {
+    EXPECT_NE(std::find(indices.begin(), indices.end(), idx), indices.end())
+        << "index " << idx << " not selected";
+  }
+  EXPECT_TRUE(std::is_sorted(indices.begin(), indices.end()));
+  EXPECT_EQ(std::adjacent_find(indices.begin(), indices.end()),
+            indices.end());
+  // With error feedback too: the same frames, the same residuals.
+  gn::Payload r1;
+  gn::Payload r2;
+  EXPECT_TRUE(same_bits(codec.encode_gradient(dense, &r1),
+                        codec.encode_gradient(dense, &r2)));
+  EXPECT_TRUE(same_bits(r1, r2));
+  // The frame is structurally sound, so decode() accepts it; the decoded
+  // gradient is not finite, which is what the server's ingress gate
+  // (Server::validate, tensor::all_finite) rejects.
+  const auto back = codec.decode(first, dense.size());
+  ASSERT_TRUE(back.has_value());
+  EXPECT_FALSE(gt::all_finite(*back));
+}
+
+TEST(Codec, NanPoisonUnderTopkIsRejectedAtIngress) {
+  namespace gc = garfield::core;
+  gc::DeploymentConfig cfg;
+  cfg.deployment = gc::Deployment::kVanilla;
+  cfg.model = "tiny_mlp";
+  cfg.train_size = 512;
+  cfg.test_size = 128;
+  cfg.batch_size = 16;
+  cfg.nw = 4;
+  cfg.fw = 1;
+  cfg.iterations = 20;
+  cfg.eval_every = 0;
+  cfg.codec = "topk:k=0.1";
+  cfg.worker_attack = "nan_poison";
+  const gc::TrainResult result = gc::train(cfg);
+  EXPECT_GT(result.rejected_payloads, 0U);
+  EXPECT_TRUE(std::isfinite(result.final_accuracy));
+}
+
+// ----------------------------------------------------------------- oracle
+
+TEST(Codec, EncodersMatchTheReferenceBitwise) {
+  // The encode kernels must reproduce the straightforward encoder exactly:
+  // frames and error-feedback residuals, round after round, over random
+  // data and over grid data full of ties, signed zeros, exact half steps
+  // and rail values.
+  for (const char* spec_text :
+       {"int8", "topk:k=0.01", "topk:k=0.3", "topk:k=1"}) {
+    const gn::CodecSpec spec = gn::CodecSpec::parse(spec_text);
+    const gn::Codec codec(spec);
+    for (const std::size_t d : {1U, 7U, 8U, 874U, 17226U}) {
+      for (const bool grid : {false, true}) {
+        gn::Payload residual;
+        gn::Payload reference_residual;
+        for (std::uint64_t round = 0; round < 20; ++round) {
+          const std::uint64_t seed = 1000 * d + round;
+          const gn::Payload dense =
+              grid ? grid_payload(d, seed) : random_payload(d, seed);
+          const std::string where = std::string(spec_text) +
+                                    " d=" + std::to_string(d) +
+                                    (grid ? " grid" : " random") +
+                                    " round " + std::to_string(round);
+          ASSERT_TRUE(same_bits(codec.encode_gradient(dense),
+                                reference_encode(spec, dense, nullptr)))
+              << where << " (no feedback)";
+          ASSERT_TRUE(
+              same_bits(codec.encode_gradient(dense, &residual),
+                        reference_encode(spec, dense, &reference_residual)))
+              << where;
+          ASSERT_TRUE(same_bits(residual, reference_residual)) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(Codec, Int8RoundsHalfStepsAwayFromZero) {
+  // The grid pins scale = 2^-7, so each coordinate's quotient is exact.
+  const gn::Codec codec = make("int8");
+  const float step = 1.0F / 128.0F;
+  const gn::Payload dense{127.0F * step, 0.5F * step,   -0.5F * step,
+                          2.5F * step,   -2.5F * step,  126.5F * step,
+                          -127.0F * step, 0.0F};
+  const auto back = codec.decode(codec.encode_gradient(dense), dense.size());
+  ASSERT_TRUE(back.has_value());
+  const gn::Payload expect{127.0F * step, 1.0F * step,    -1.0F * step,
+                           3.0F * step,   -3.0F * step,   127.0F * step,
+                           -127.0F * step, 0.0F};
+  EXPECT_EQ(*back, expect);
 }

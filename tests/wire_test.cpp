@@ -21,6 +21,24 @@ namespace gt = garfield::tensor;
 
 namespace {
 
+/// Bit-at-a-time CRC-32 (reflected polynomial 0xEDB88320), with no table:
+/// the oracle the table-driven kernel must match on every input.
+std::uint32_t crc32_reference(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFU;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1U) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFU;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  gt::Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (std::uint8_t& b : out) b = std::uint8_t(rng.engine()());
+  return out;
+}
+
 std::string temp_path(const char* name) {
   // Per-process names: the suite and its serial twin run concurrently.
   return (std::filesystem::temp_directory_path() /
@@ -45,6 +63,26 @@ TEST(Crc32, SensitiveToSingleBitFlip) {
   std::vector<std::uint8_t> b = a;
   b[2] ^= 0x01;
   EXPECT_NE(gn::crc32(a), gn::crc32(b));
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..64 cover the empty input, tails of every size below and
+  // around the 8-byte stride, and several whole strides; starting offsets
+  // 0..7 cover every alignment of the buffer.
+  const std::vector<std::uint8_t> buf = random_bytes(64 + 8, 11);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::span<const std::uint8_t> view(buf.data() + offset, len);
+      EXPECT_EQ(gn::crc32(view), crc32_reference(view.data(), len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
+TEST(Crc32, MatchesBitwiseReferenceOnAFrameSizedBuffer) {
+  // 69 KB: the size of one dense 17226-float gradient message.
+  const std::vector<std::uint8_t> buf = random_bytes(69 * 1024 + 3, 12);
+  EXPECT_EQ(gn::crc32(buf), crc32_reference(buf.data(), buf.size()));
 }
 
 // ------------------------------------------------------------------- wire
