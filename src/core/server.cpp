@@ -46,26 +46,12 @@ Server::Server(net::NodeId id, net::Cluster& cluster, nn::ModelPtr model,
 }
 
 void Server::rejoin() {
-  {
-    util::MutexLock lock(mutex_);
-    model_ring_.clear();
-    aggr_ring_.clear();
-    reply_cache_.clear();
-    arg_cache_.clear();
-    gossip_residual_.clear();
-  }
-  cluster_.register_handler(id_, kGetModel, [this](const net::Request& req) {
-    return encode_result(serve_model(req), /*state_class=*/true);
-  });
-  cluster_.register_handler(id_, kGetAggrGrad,
-                            [this](const net::Request& req) {
-                              return encode_result(serve_aggr_grad(req),
-                                                   /*state_class=*/false);
-                            });
-  cluster_.register_handler(id_, kGetCheckpoint,
-                            [this](const net::Request& req) {
-                              return serve_checkpoint(req);
-                            });
+  util::MutexLock lock(mutex_);
+  model_ring_.clear();
+  aggr_ring_.clear();
+  reply_cache_.clear();
+  arg_cache_.clear();
+  gossip_residual_.clear();
 }
 
 net::PayloadPtr Server::snapshot() const {

@@ -151,13 +151,12 @@ class Server {
     return aggregation_context_;
   }
 
-  /// Come back from a crash: re-register this node's RPC handlers (a
-  /// crashed node's handlers were dropped by the cluster) and clear the
-  /// step-tagged publication rings — a restarted process has published
-  /// nothing, and serving pre-crash entries would answer peers with state
-  /// the checkpoint restore is about to overwrite. The caller (the
-  /// trainer's recovery hook) then transfers checkpointed state via
-  /// write_model / restore_optimizer_velocity.
+  /// Come back from a crash: clear the step-tagged publication rings and
+  /// encode caches — a restarted process has published nothing, and
+  /// serving pre-crash entries would answer peers with state the
+  /// checkpoint restore is about to overwrite. The caller (the trainer's
+  /// recovery hook) then transfers checkpointed state via write_model /
+  /// restore_optimizer_velocity.
   void rejoin();
 
   /// Payloads dropped at ingress (wrong dimension or non-finite values).

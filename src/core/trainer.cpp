@@ -607,8 +607,8 @@ void build_runtime(Runtime& rt) {
 }
 
 /// Wire the churn schedule's recovery path: when advance_lifecycle brings
-/// a node back up, the hook re-registers its RPC handlers and transfers
-/// state. Parameter-server nodes split by id: servers [0, nps) rejoin and
+/// a node back up, the hook resets its caches and transfers state.
+/// Parameter-server nodes split by id: servers [0, nps) rejoin and
 /// restore the last durable checkpoint; workers [nps, nps + nw) just
 /// rejoin (their shard is their state). Decentralized peers rejoin both
 /// halves and re-sync through the step-tagged model exchange instead — the

@@ -51,20 +51,14 @@ Worker::Worker(net::NodeId id, net::Cluster& cluster, nn::ModelPtr model,
 }
 
 void Worker::rejoin() {
-  {
-    util::MutexLock lock(mutex_);
-    cache_.clear();
-    cloud_cache_.clear();
-    encode_cache_.clear();
-    residuals_.clear();
-    velocity_.clear();
-    velocity_pre_.clear();
-    velocity_iteration_ = std::uint64_t(-1);
-  }
-  cluster_.register_handler(id_, kGetGradient,
-                            [this](const net::Request& req) {
-                              return serve_gradient(req);
-                            });
+  util::MutexLock lock(mutex_);
+  cache_.clear();
+  cloud_cache_.clear();
+  encode_cache_.clear();
+  residuals_.clear();
+  velocity_.clear();
+  velocity_pre_.clear();
+  velocity_iteration_ = std::uint64_t(-1);
 }
 
 Worker::ServedGradient Worker::compute_locked(const net::Request& req) {

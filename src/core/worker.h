@@ -57,9 +57,8 @@ class Worker {
 
   [[nodiscard]] net::NodeId id() const { return id_; }
 
-  /// Come back from a crash: re-register the get_gradient handler (the
-  /// cluster dropped it at crash time) and forget the gradient caches and
-  /// momentum state — a restarted worker process has computed nothing, and
+  /// Come back from a crash: forget the gradient caches and momentum
+  /// state — a restarted worker process has computed nothing, and
   /// replaying a pre-crash velocity would double-count the iterations the
   /// crash window skipped.
   void rejoin();
@@ -147,7 +146,7 @@ class Worker {
       GARFIELD_REQUIRES(mutex_);
 
   net::NodeId id_;
-  net::Cluster& cluster_;  // for handler re-registration on rejoin()
+  net::Cluster& cluster_;  // for bytes_saved accounting
   /// The private model replica: every forward/backward (set_parameters +
   /// gradient) runs under mutex_ — concurrent pulls from several server
   /// replicas serialize on it, which is what makes the per-iteration cache

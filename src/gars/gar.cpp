@@ -36,13 +36,6 @@ void Gar::aggregate_into(std::span<const FlatVector> inputs,
   do_aggregate(inputs, ctx, out);
 }
 
-FlatVector Gar::aggregate(std::span<const FlatVector> inputs) const {
-  AggregationContext ctx;
-  FlatVector out;
-  aggregate_into(inputs, ctx, out);
-  return out;
-}
-
 namespace {
 
 void require(bool cond, const std::string& message) {

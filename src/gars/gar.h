@@ -3,10 +3,10 @@
 // A GAR is a function (R^d)^q -> R^d aggregating q gradient (or model)
 // vectors, of which up to f may be Byzantine. Garfield mirrors the paper's
 // two-call interface: make_gar(spec, n, f) is init(), aggregation is
-// aggregate(). Each rule validates its resilience precondition (the
+// aggregate_into(). Each rule validates its resilience precondition (the
 // inequality relating q and f) at construction.
 //
-// The primary aggregation entry point is
+// The aggregation entry point is
 //
 //   gar->aggregate_into(inputs, ctx, out);
 //
@@ -14,12 +14,7 @@
 // buffer a rule needs (distance matrix, score/index arrays, work vectors).
 // Reusing one context across iterations makes steady-state aggregation
 // allocation-free on the O(d) and O(n^2) paths — the §4.4 caching story
-// generalized to all rule scratch state. The classic
-//
-//   FlatVector out = gar->aggregate(inputs);
-//
-// remains as a compatibility wrapper that builds a throwaway context per
-// call; migrate hot paths to aggregate_into.
+// generalized to all rule scratch state.
 //
 // Rule construction goes through the GarRegistry (gars/registry.h):
 // make_gar accepts either a bare rule name ("krum") or a spec string with
@@ -151,17 +146,11 @@ class Gar {
   Gar(const Gar&) = delete;
   Gar& operator=(const Gar&) = delete;
 
-  /// Primary entry point: aggregate exactly n() vectors of equal dimension
-  /// into `out` (resized to d), drawing all scratch from `ctx`. `out` must
-  /// not alias any input or a ctx buffer.
+  /// Aggregate exactly n() vectors of equal dimension into `out` (resized
+  /// to d), drawing all scratch from `ctx`. `out` must not alias any input
+  /// or a ctx buffer.
   void aggregate_into(std::span<const FlatVector> inputs,
                       AggregationContext& ctx, FlatVector& out) const;
-
-  /// Compatibility wrapper around aggregate_into: builds a throwaway
-  /// context (and therefore allocates) per call. Fine for tests and cold
-  /// paths; hot loops should hold an AggregationContext and use
-  /// aggregate_into.
-  [[nodiscard]] FlatVector aggregate(std::span<const FlatVector> inputs) const;
 
   [[nodiscard]] virtual std::string name() const = 0;
 

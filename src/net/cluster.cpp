@@ -69,23 +69,8 @@ Cluster::Cluster(const Options& options)
                   std::make_shared<Transport::Respond>(std::move(respond)),
                   kRetryBackoffFloor);
   });
-  // Churn schedule bootstrap: joins (and at_iter=0 crashes) are down
-  // before anyone drives an iteration. Their one-shot down-edges are
-  // marked applied so advance_lifecycle() cannot re-crash them later.
-  const auto& churn = options_.conditions.churn();
-  churn_state_.resize(churn.size());
   recovery_handlers_.resize(nodes_);
   recovered_at_.resize(nodes_, 0);
-  for (std::size_t i = 0; i < churn.size(); ++i) {
-    if (!churn[i].join && churn[i].at_iter == 0) {
-      churn_state_[i].crashed_applied = true;
-    }
-  }
-  for (std::size_t node = 0; node < nodes_; ++node) {
-    if (options_.conditions.churn_down(node, 0)) {
-      states_[node]->lifecycle.store(NodeLifecycle::kCrashed);
-    }
-  }
   if (options_.conditions.has_bandwidth()) {
     // Zero-initialized busy horizons: every link starts idle.
     busy_until_us_ =
@@ -108,53 +93,17 @@ void Cluster::register_handler(NodeId node, const std::string& method,
   states_[node]->handlers[method] = std::move(handler);
 }
 
-void Cluster::crash_locked(NodeId node) {
-  states_[node]->lifecycle.store(NodeLifecycle::kCrashed);
-  // A crashed process loses its registered handlers: recovery must
-  // re-register them (Server/Worker::rejoin), not just flip the state.
-  // Lock order: lifecycle_mutex_ (held by our caller) before the node
-  // mutex — dispatch only ever takes the node mutex, so no cycle.
-  util::MutexLock node_lock(states_[node]->mutex);
-  states_[node]->handlers.clear();
-}
-
-void Cluster::crash(NodeId node) {
-  assert(node < nodes_);
-  util::MutexLock lock(lifecycle_mutex_);
-  crash_locked(node);
-}
-
-void Cluster::begin_recovery(NodeId node) {
-  assert(node < nodes_);
-  util::MutexLock lock(lifecycle_mutex_);
-  if (states_[node]->lifecycle.load() != NodeLifecycle::kCrashed) {
-    throw std::logic_error("Cluster::begin_recovery: node " +
-                           std::to_string(node) + " is not CRASHED");
-  }
-  states_[node]->lifecycle.store(NodeLifecycle::kRecovering);
-}
-
-void Cluster::complete_recovery(NodeId node) {
-  assert(node < nodes_);
-  {
-    util::MutexLock lock(lifecycle_mutex_);
-    if (states_[node]->lifecycle.load() != NodeLifecycle::kRecovering) {
-      throw std::logic_error("Cluster::complete_recovery: node " +
-                             std::to_string(node) + " is not RECOVERING");
-    }
-    states_[node]->lifecycle.store(NodeLifecycle::kRunning);
-  }
-  lifecycle_cv_.notify_all();
-}
-
-NodeLifecycle Cluster::lifecycle(NodeId node) const {
-  assert(node < nodes_);
-  return states_[node]->lifecycle.load();
-}
-
 bool Cluster::is_crashed(NodeId node) const {
   assert(node < nodes_);
-  return states_[node]->lifecycle.load() != NodeLifecycle::kRunning;
+  if (!options_.conditions.has_churn()) return false;
+  // Horizon first: advance_lifecycle raises a recovering node's flag
+  // before it publishes the horizon that has the node up, so a reader
+  // that sees the new horizon also sees the flag (or its clearing, which
+  // follows the hook's state transfer).
+  const std::uint64_t horizon =
+      lifecycle_horizon_.load(std::memory_order_acquire);
+  return states_[node]->recovering.load(std::memory_order_acquire) ||
+         options_.conditions.churn_down(node, horizon);
 }
 
 void Cluster::set_recovery_handler(
@@ -165,48 +114,40 @@ void Cluster::set_recovery_handler(
 }
 
 void Cluster::advance_lifecycle(std::uint64_t iteration) {
-  const auto& churn = options_.conditions.churn();
-  if (churn.empty()) return;
+  const NetworkConditions& conditions = options_.conditions;
+  if (!conditions.has_churn()) return;
+  if (iteration <= lifecycle_horizon_.load(std::memory_order_acquire)) return;
   {
     util::MutexLock lock(lifecycle_mutex_);
-    lifecycle_horizon_ = std::max(lifecycle_horizon_, iteration);
-    // Down-edges first: a horizon jump spanning a whole crash window must
-    // kill before it resurrects, or the recovery hook would run against a
-    // node that was never torn down.
-    for (std::size_t i = 0; i < churn.size(); ++i) {
-      const NetworkConditions::ChurnEvent& e = churn[i];
-      if (e.join || churn_state_[i].crashed_applied ||
-          e.at_iter > lifecycle_horizon_) {
-        continue;
-      }
-      churn_state_[i].crashed_applied = true;
-      for (std::size_t node = e.nodes.lo; node <= e.nodes.hi; ++node) {
-        crash_locked(node);
+    const std::uint64_t from = lifecycle_horizon_.load();
+    if (iteration <= from) return;
+    // A node up at the new horizon that the schedule had down anywhere in
+    // [from, iteration) is a restarted process — even when the horizon
+    // jumped over its whole down window. Its hook gets the up-edge that
+    // last brought it back.
+    std::vector<std::pair<NodeId, std::uint64_t>> recovering;
+    for (NodeId node = 0; node < nodes_; ++node) {
+      if (conditions.churn_down(node, iteration)) continue;
+      for (std::uint64_t up = iteration; up > from; --up) {
+        if (conditions.churn_down(node, up - 1)) {
+          recovering.emplace_back(node, up);
+          break;
+        }
       }
     }
-    for (std::size_t i = 0; i < churn.size(); ++i) {
-      const NetworkConditions::ChurnEvent& e = churn[i];
-      if (churn_state_[i].recovered_applied) continue;
-      if (!e.join && e.recover_after == 0) continue;  // permanent crash
-      const std::uint64_t up =
-          e.join ? e.at_iter : e.at_iter + e.recover_after;
-      if (up > lifecycle_horizon_) continue;
-      churn_state_[i].recovered_applied = true;
-      for (std::size_t node = e.nodes.lo; node <= e.nodes.hi; ++node) {
-        // Another event may still hold the node down at its up-edge, and a
-        // manual crash()/recovery may already have moved it on.
-        if (options_.conditions.churn_down(node, up)) continue;
-        if (states_[node]->lifecycle.load() != NodeLifecycle::kCrashed) {
-          continue;
-        }
-        states_[node]->lifecycle.store(NodeLifecycle::kRecovering);
-        // The hook runs under the lifecycle mutex: transitions stay
-        // serialized, and dispatch never takes this mutex so delivery is
-        // not blocked while the node state-transfers.
-        if (recovery_handlers_[node]) recovery_handlers_[node](up);
-        states_[node]->lifecycle.store(NodeLifecycle::kRunning);
-        recovered_at_[node] = up;
-      }
+    // Silence them before the horizon has them up, so no delivery reaches
+    // a node whose state transfer has not finished.
+    for (const auto& [node, up] : recovering) {
+      states_[node]->recovering.store(true, std::memory_order_release);
+    }
+    lifecycle_horizon_.store(iteration, std::memory_order_release);
+    // The hooks run under the lifecycle mutex, one at a time; dispatch
+    // never takes it, so delivery is not blocked while a node
+    // state-transfers.
+    for (const auto& [node, up] : recovering) {
+      if (recovery_handlers_[node]) recovery_handlers_[node](up);
+      recovered_at_[node] = up;
+      states_[node]->recovering.store(false, std::memory_order_release);
     }
   }
   lifecycle_cv_.notify_all();
@@ -217,7 +158,7 @@ std::optional<std::uint64_t> Cluster::wait_until_running(NodeId node,
   assert(node < nodes_);
   util::MutexLock lock(lifecycle_mutex_);
   const bool up = lifecycle_cv_.wait_for(lifecycle_mutex_, timeout, [&] {
-    return states_[node]->lifecycle.load() == NodeLifecycle::kRunning;
+    return !is_crashed(node);
   });
   if (!up) return std::nullopt;
   return recovered_at_[node];
@@ -272,18 +213,18 @@ void Cluster::deliver_local(Request request,
     // A remote callee has no local loop threads driving its churn
     // schedule: the arrival itself carries the caller's notion of
     // training time, so advance on it. Gated on remote() so the
-    // in-process path's transition points are exactly the pre-seam ones.
+    // in-process path's horizon moves only with its loops.
     advance_lifecycle(request.window_iteration ? *request.window_iteration
                                                : request.iteration);
   }
-  NodeState& callee = *states_[request.to];
   // A crashed callee is fail-silent: the caller never hears back. We
   // deliver nullptr so single-call users don't hang; Collector users see
   // it as a missing reply, preserving quorum semantics.
-  if (callee.lifecycle.load() != NodeLifecycle::kRunning) {
+  if (is_crashed(request.to)) {
     (*respond)(nullptr);
     return;
   }
+  NodeState& callee = *states_[request.to];
   Handler handler;
   {
     util::MutexLock lock(callee.mutex);

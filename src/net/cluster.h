@@ -24,15 +24,14 @@
 //    the cluster redelivers the request after a short backoff instead of
 //    blocking a pool thread — the primitive behind step-tagged model and
 //    gossip serving;
-//  - every node carries a lifecycle FSM (RUNNING -> CRASHED -> RECOVERING
-//    -> RUNNING) owned by the cluster: CRASHED and RECOVERING nodes are
-//    fail-silent (delivery refused, handlers dropped at crash time) and a
-//    parsed churn schedule (NetworkConditions `churn:` clauses) drives the
-//    transitions per training iteration, invoking a per-node recovery
-//    hook — handler re-registration plus checkpoint state transfer — on
-//    the way back up; Byzantine behaviour lives in the handler (a
-//    Byzantine node simply serves corrupted payloads — separate
-//    replicated state, there is no shared graph to protect);
+//  - node liveness is the parsed churn schedule (NetworkConditions
+//    `churn:` clauses) read at the cluster's lifecycle horizon: a node the
+//    schedule has down there is fail-silent (delivery refused), and when
+//    the horizon carries a node back up the cluster runs its recovery
+//    hook — checkpoint state transfer — while the node stays silent;
+//    Byzantine behaviour lives in the handler (a Byzantine node simply
+//    serves corrupted payloads — separate replicated state, there is no
+//    shared graph to protect);
 //  - Collector implements fastest-q-of-n with a deadline, the liveness
 //    primitive that lets Garfield run in asynchronous settings.
 //
@@ -58,11 +57,6 @@
 #include "util/thread_annotations.h"
 
 namespace garfield::net {
-
-/// Per-node lifecycle state (the Graphite-style per-core state machine,
-/// applied to cluster membership). Only RUNNING nodes serve requests;
-/// CRASHED and RECOVERING nodes are fail-silent to every caller.
-enum class NodeLifecycle { kRunning, kCrashed, kRecovering };
 
 /// Give-up predicate for the not-ready redelivery chain: true when the
 /// next attempt, landing at `next_attempt`, would arrive after the
@@ -200,43 +194,33 @@ class Cluster {
   void register_handler(NodeId node, const std::string& method,
                         Handler handler);
 
-  // Lifecycle FSM: RUNNING -> CRASHED -> RECOVERING -> RUNNING. crash()
-  // may fire from any state; the two recovery edges are strict and throw
-  // std::logic_error on an invalid transition — an out-of-order recovery
-  // is a scheduler bug, not a tolerable race.
-
-  /// Crash a node: delivery to it is refused and its registered handlers
-  /// are dropped (a restarted process has none) until it recovers.
-  void crash(NodeId node);
-  /// CRASHED -> RECOVERING: still fail-silent; the node is re-registering
-  /// handlers and state-transferring.
-  void begin_recovery(NodeId node);
-  /// RECOVERING -> RUNNING: serving again; wakes wait_until_running().
-  void complete_recovery(NodeId node);
-  [[nodiscard]] NodeLifecycle lifecycle(NodeId node) const;
-  /// True whenever the node is not serving (CRASHED or RECOVERING).
+  /// True whenever the node is not serving: the churn schedule has it
+  /// down at the lifecycle horizon, or its recovery hook is still
+  /// running. A pure read of two atomics and the schedule; without a
+  /// `churn:` clause no node is ever down.
   [[nodiscard]] bool is_crashed(NodeId node) const;
 
-  /// Hook invoked between the RECOVERING and RUNNING edges when the churn
-  /// schedule brings `node` back up (advance_lifecycle), with the
-  /// scheduled recovery iteration. This is where the trainer re-registers
-  /// the node's handlers and transfers checkpointed state.
+  /// Hook invoked when the churn schedule brings `node` back up
+  /// (advance_lifecycle), with the scheduled up-edge iteration. The node
+  /// stays fail-silent while it runs. This is where the trainer resets the
+  /// node's caches and transfers checkpointed state.
   void set_recovery_handler(NodeId node,
                             std::function<void(std::uint64_t)> handler);
 
-  /// Drive the parsed churn schedule (options.conditions `churn:` clauses)
-  /// up to `iteration`: apply every crash whose window has started and
-  /// every recovery/join whose up-edge has passed, invoking recovery
-  /// handlers along the way. Idempotent and monotonic — any loop thread
-  /// may call it with its own iteration counter; the max ever seen drives
-  /// the schedule. Nodes down at iteration 0 (joins, at_iter=0 crashes)
-  /// start CRASHED without a call.
+  /// Move the lifecycle horizon up to `iteration`. Monotonic and
+  /// idempotent — any loop thread may call it with its own iteration
+  /// counter; the max ever seen is the horizon. Every node the schedule
+  /// has up at the new horizon but down somewhere in [old, new) gets its
+  /// recovery hook, once, with the up-edge that last brought it back;
+  /// hooks run one at a time, and each node stays silent until its own
+  /// hook returns.
   void advance_lifecycle(std::uint64_t iteration);
 
-  /// Block until `node` is RUNNING (a crashed node's own driving loop
+  /// Block until `node` serves again (a crashed node's own driving loop
   /// parks here while live peers drive the schedule past its up-edge).
-  /// Returns the iteration the schedule recovered it at, or nullopt on
-  /// timeout — the deadlock guard for schedules nobody can drive.
+  /// Returns the up-edge of its last recovery (0 if it never recovered),
+  /// or nullopt on timeout — the deadlock guard for schedules nobody can
+  /// drive.
   [[nodiscard]] std::optional<std::uint64_t> wait_until_running(
       NodeId node, Duration timeout);
 
@@ -325,13 +309,13 @@ class Cluster {
     util::Mutex mutex;
     std::unordered_map<std::string, Handler> handlers
         GARFIELD_GUARDED_BY(mutex);
-    /// Atomic rather than guarded: deliver_local() reads it lock-free on
-    /// every delivery; the lifecycle_mutex_ serializes writers
-    /// (transitions).
-    std::atomic<NodeLifecycle> lifecycle{NodeLifecycle::kRunning};
+    /// Set while this node's recovery hook runs (advance_lifecycle sets it
+    /// before publishing the horizon that brings the node up). Atomic:
+    /// is_crashed() reads it lock-free on every delivery.
+    std::atomic<bool> recovering{false};
   };
 
-  /// Callee-side delivery: the transport's sink. Lifecycle gate -> handler
+  /// Callee-side delivery: the transport's sink. Liveness gate -> handler
   /// lookup -> run -> not-ready redelivery via Transport::run_after ->
   /// respond exactly once. Runs on a pool thread of whichever process owns
   /// `request.to`.
@@ -357,27 +341,17 @@ class Cluster {
                                              std::size_t frame_bytes,
                                              std::uint64_t window_iteration);
 
-  /// Any state -> CRASHED + drop handlers.
-  void crash_locked(NodeId node) GARFIELD_REQUIRES(lifecycle_mutex_);
-
   std::size_t nodes_;
   Options options_;
   std::vector<std::unique_ptr<NodeState>> states_;
-  // Lifecycle scheduling state. The per-node lifecycle enum itself is
-  // atomic (dispatch reads it lock-free); the mutex serializes transitions
-  // and the churn schedule's one-shot event application. Lock order:
-  // lifecycle_mutex_ before any NodeState::mutex (crash_locked), never the
-  // reverse — dispatch takes only the node mutex, so delivery is never
-  // blocked behind a state transfer.
-  mutable util::Mutex lifecycle_mutex_;
+  // The horizon is atomic so the delivery gate reads it lock-free; the
+  // mutex serializes its writers and the recovery hooks. Lock order:
+  // lifecycle_mutex_ before any NodeState::mutex, never the reverse —
+  // dispatch takes only the node mutex, so delivery is never blocked
+  // behind a state transfer.
+  util::Mutex lifecycle_mutex_;
   util::CondVar lifecycle_cv_;
-  std::uint64_t lifecycle_horizon_ GARFIELD_GUARDED_BY(lifecycle_mutex_) = 0;
-  struct ChurnEventState {
-    bool crashed_applied = false;
-    bool recovered_applied = false;
-  };
-  std::vector<ChurnEventState> churn_state_
-      GARFIELD_GUARDED_BY(lifecycle_mutex_);
+  std::atomic<std::uint64_t> lifecycle_horizon_{0};
   std::vector<std::function<void(std::uint64_t)>> recovery_handlers_
       GARFIELD_GUARDED_BY(lifecycle_mutex_);
   std::vector<std::uint64_t> recovered_at_

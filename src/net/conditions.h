@@ -63,8 +63,8 @@
 //       iteration 0 and come up at `at_iter` — a join is a recovery of a
 //       node that was never alive, and rides the same state-transfer
 //       path. While a node is down, the live Cluster refuses delivery to
-//       it (lifecycle FSM, net/cluster.h) and the analytic simulator
-//       removes it from every stage's candidate pool.
+//       it (churn_down at its lifecycle horizon, net/cluster.h) and the
+//       analytic simulator removes it from every stage's candidate pool.
 //   fault:drop=0.01,dup=0.001,corrupt=0.005,delay_spike=5ms,spike=0.02,
 //         edges=0-3,from_iter=50,len=20
 //       Seeded message-fault injection. Every RPC attempt on an affected

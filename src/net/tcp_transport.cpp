@@ -78,7 +78,10 @@ void set_nodelay(int fd) {
 }  // namespace
 
 TcpTransport::TcpTransport(const Options& options)
-    : options_(options), rank_(options.rank), nodes_(options.nodes) {
+    : InProcTransport(options.pool_threads),
+      options_(options),
+      rank_(options.rank),
+      nodes_(options.nodes) {
   if (nodes_ == 0 || rank_ >= nodes_) {
     throw std::invalid_argument("TcpTransport: rank " +
                                 std::to_string(rank_) + " outside " +
@@ -89,13 +92,6 @@ TcpTransport::TcpTransport(const Options& options)
         "TcpTransport: ports vector does not cover every rank");
   }
   peers_.resize(nodes_);
-  std::size_t threads = options.pool_threads;
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 1 : hw;
-  }
-  pool_ = std::make_unique<ThreadPool>(threads);
-  timer_ = std::make_unique<TimerWheel>(*pool_);
   {
     util::MutexLock lock(control_mutex_);
     ready_.assign(nodes_, false);
@@ -182,33 +178,13 @@ void TcpTransport::start(DeliverFn deliver) {
   }
 }
 
-bool TcpTransport::send_local(Request request, Duration delay,
-                              Clock::time_point deadline, Respond on_reply) {
-  // Identical to InProcTransport::send — the loopback edge of a
-  // multi-process deployment behaves exactly like the in-process backend.
-  const std::size_t req_bytes = request_frame_bytes(request);
-  bytes_sent_.fetch_add(req_bytes, std::memory_order_relaxed);
-  bytes_received_.fetch_add(req_bytes, std::memory_order_relaxed);
-  auto respond = [this, on_reply =
-                            std::move(on_reply)](PayloadPtr payload) mutable {
-    const std::size_t bytes = reply_frame_bytes(payload);
-    bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
-    bytes_received_.fetch_add(bytes, std::memory_order_relaxed);
-    on_reply(std::move(payload));
-  };
-  std::function<void()> task = [this, request = std::move(request), deadline,
-                                respond = std::move(respond)]() mutable {
-    deliver_(std::move(request), deadline, std::move(respond));
-  };
-  return run_after(delay, std::move(task));
-}
-
 bool TcpTransport::send(Request request, Duration delay,
                         Clock::time_point deadline, Respond on_reply) {
   assert(request.to < nodes_);
   if (request.to == rank_) {
-    return send_local(std::move(request), delay, deadline,
-                      std::move(on_reply));
+    // The loopback edge behaves exactly like the in-process backend.
+    return InProcTransport::send(std::move(request), delay, deadline,
+                                 std::move(on_reply));
   }
   // The sender-side simulated delay elapses before the frame is written —
   // the same point in the pipeline where the in-process backend delays
@@ -269,12 +245,6 @@ void TcpTransport::write_request(Request request, Clock::time_point deadline,
   if (!peer || !write_frame(*peer, body)) {
     resolve_pending(cid, nullptr);
   }
-}
-
-bool TcpTransport::run_after(Duration delay, std::function<void()>&& task) {
-  if (!pool_ || !timer_) return false;
-  return delay.count() <= 0 ? pool_->submit(std::move(task))
-                            : timer_->schedule_after(delay, std::move(task));
 }
 
 bool TcpTransport::write_frame(Peer& peer,
@@ -431,7 +401,7 @@ void TcpTransport::handle_frame(std::size_t peer_rank,
       };
       // A refused submit means shutdown: the socket teardown resolves the
       // caller via EOF, so dropping the task here is safe.
-      (void)pool_->submit(std::move(task));
+      (void)run_after(Duration{0}, std::move(task));
       break;
     }
     case kFrameReply: {
@@ -530,12 +500,9 @@ void TcpTransport::shutdown() {
   for (std::size_t r = 0; r < nodes_; ++r) {
     if (peers_[r] && peers_[r]->reader.joinable()) peers_[r]->reader.join();
   }
-  // Then the in-process machinery, in the same order as InProcTransport:
-  // stop the wheel (flushed delayed writes see dead peers and resolve
-  // their callbacks), drain the pool, destroy both.
-  if (timer_) timer_->stop_and_flush();
-  pool_.reset();
-  timer_.reset();
+  // Then the in-process machinery: stop the wheel (flushed delayed writes
+  // see dead peers and resolve their callbacks), drain the pool.
+  InProcTransport::shutdown();
   for (std::size_t r = 0; r < nodes_; ++r) {
     if (peers_[r] && peers_[r]->fd >= 0) {
       ::close(peers_[r]->fd);

@@ -14,7 +14,7 @@
 //    accepts, so the mesh construction cannot deadlock;
 //  - requests carry a call id, the window-iteration tag and the caller's
 //    remaining timeout budget; the callee's Cluster runs the identical
-//    lifecycle-gate -> handler -> not-ready-redelivery chain it runs in
+//    liveness-gate -> handler -> not-ready-redelivery chain it runs in
 //    process, and every request is answered by exactly one reply frame
 //    (a silent callee sends an empty reply, so callers never hang on a
 //    crashed node);
@@ -45,15 +45,16 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/thread_pool.h"
-#include "net/timer_wheel.h"
 #include "net/transport.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
 namespace garfield::net {
 
-class TcpTransport final : public Transport {
+/// The in-process transport plus a socket mesh: requests to this rank
+/// take InProcTransport's loopback path; every other edge is framed onto
+/// its peer's stream after the same pool/wheel delay.
+class TcpTransport final : public InProcTransport {
  public:
   struct Options {
     /// This process's node id; also its index into `ports`.
@@ -81,8 +82,6 @@ class TcpTransport final : public Transport {
   [[nodiscard]] bool send(Request request, Duration delay,
                           Clock::time_point deadline,
                           Respond on_reply) override;
-  [[nodiscard]] bool run_after(Duration delay,
-                               std::function<void()>&& task) override;
   [[nodiscard]] bool remote() const override { return true; }
   void shutdown() override;
 
@@ -118,10 +117,6 @@ class TcpTransport final : public Transport {
     std::thread reader;
   };
 
-  /// Loopback fast path for request.to == rank_: byte-accounted and
-  /// scheduled exactly like InProcTransport::send.
-  [[nodiscard]] bool send_local(Request request, Duration delay,
-                                Clock::time_point deadline, Respond on_reply);
   /// Frame and write one remote request; runs after the sender-side delay.
   void write_request(Request request, Clock::time_point deadline,
                      Respond on_reply);
@@ -147,7 +142,6 @@ class TcpTransport final : public Transport {
   Options options_;
   std::size_t rank_;
   std::size_t nodes_;
-  DeliverFn deliver_;
   std::vector<std::unique_ptr<Peer>> peers_;  ///< by rank; self is null
   std::atomic<bool> down_{false};
 
@@ -164,11 +158,6 @@ class TcpTransport final : public Transport {
   util::CondVar control_cv_;
   std::vector<bool> ready_ GARFIELD_GUARDED_BY(control_mutex_);
   std::vector<bool> done_ GARFIELD_GUARDED_BY(control_mutex_);
-
-  // Same delayed-execution machinery as InProcTransport; shutdown() stops
-  // the wheel, drains the pool, then closes sockets.
-  std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<TimerWheel> timer_;
 };
 
 }  // namespace garfield::net

@@ -45,7 +45,7 @@ InProcTransport::InProcTransport(std::size_t pool_threads) {
   timer_ = std::make_unique<TimerWheel>(*pool_);
 }
 
-InProcTransport::~InProcTransport() { shutdown(); }
+InProcTransport::~InProcTransport() { InProcTransport::shutdown(); }
 
 void InProcTransport::start(DeliverFn deliver) {
   deliver_ = std::move(deliver);

@@ -3,7 +3,7 @@
 // The paper's deployment (§4) runs each node as its own process on its own
 // machine; our Cluster grew up as a single in-process object graph. This
 // header is the boundary that lets both be true at once: Cluster resolves
-// simulated NetworkConditions delay, lifecycle gating, not-ready
+// simulated NetworkConditions delay, liveness gating, not-ready
 // redelivery and quorum accounting exactly as before, but hands the
 // *physical* movement of every request/reply to a Transport:
 //
@@ -78,7 +78,7 @@ struct Request {
 [[nodiscard]] std::size_t reply_frame_bytes(const PayloadPtr& payload);
 
 /// Physical message movement under the Cluster. All policy — simulated
-/// delay resolution, lifecycle gating, handler dispatch, retry backoff,
+/// delay resolution, liveness gating, handler dispatch, retry backoff,
 /// stats — stays in the Cluster; a Transport only moves requests to the
 /// callee's delivery sink and replies back, and provides the delayed
 /// execution primitive both the initial (delayed) delivery and the
@@ -90,7 +90,7 @@ class Transport {
   /// chain gave up.
   using Respond = std::function<void(PayloadPtr)>;
   /// Callee-side sink installed by the Cluster via start(): runs the
-  /// lifecycle check + handler chain for `request`, with `deadline`
+  /// liveness check + handler chain for `request`, with `deadline`
   /// bounding not-ready redelivery, and invokes `respond` exactly once.
   using DeliverFn =
       std::function<void(Request request, Clock::time_point deadline,
@@ -160,8 +160,10 @@ class Transport {
 /// the TimerWheel (positive delay), and the reply is the respond callback
 /// invoked on whichever pool thread ran the handler. Scheduling decisions,
 /// their order, and the teardown sequence are bit-for-bit the pre-seam
-/// Cluster's, so existing runs are unchanged.
-class InProcTransport final : public Transport {
+/// Cluster's, so existing runs are unchanged. TcpTransport builds on it:
+/// its loopback edge, sender-side delays and handler compute all run on
+/// this one pool and wheel.
+class InProcTransport : public Transport {
  public:
   /// `pool_threads` == 0 sizes the pool to hardware concurrency — pool
   /// threads only run handler compute (delays live on the wheel), so more
@@ -177,8 +179,10 @@ class InProcTransport final : public Transport {
                                std::function<void()>&& task) override;
   void shutdown() override;
 
- private:
+ protected:
   DeliverFn deliver_;
+
+ private:
   bool down_ = false;  ///< set once by shutdown(); no concurrent callers
   // Torn down by shutdown() in the order stop-wheel -> drain-pool ->
   // destroy both, so in-flight deliveries can never re-arm a dead timer or

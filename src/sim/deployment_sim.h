@@ -38,8 +38,8 @@
 //    cluster's per-message serialization delay;
 //  - a churn schedule removes its down nodes from the stage's candidate
 //    pool outright (they are absent, not slow) and clamps the quorum to
-//    what remains — the analytic twin of the live cluster's lifecycle FSM
-//    refusing delivery to CRASHED nodes, so both planes walk the same
+//    what remains — the analytic twin of the live cluster refusing
+//    delivery to churn-down nodes, so both planes walk the same
 //    per-iteration quorum trajectory;
 //  - an active fault clause charges the expected retry tail of its lost
 //    attempts (drop + corrupt, each resent after the live sender's

@@ -7,10 +7,12 @@
 #include <numeric>
 
 #include "gars/gar.h"
+#include "support/test_support.h"
 #include "tensor/rng.h"
 
 namespace gg = garfield::gars;
 namespace gt = garfield::tensor;
+namespace ts = garfield::testsupport;
 
 using gt::FlatVector;
 
@@ -107,7 +109,7 @@ TEST(DistanceCache, BulyanEndToEndUnchangedByCaching) {
   const std::size_t n = 7, f = 1, d = 8;
   auto in = random_inputs(n, d, 10);
   gg::GarPtr bulyan = gg::make_gar("bulyan", n, f);
-  const FlatVector out = bulyan->aggregate(in);
+  const FlatVector out = ts::aggregate(*bulyan, in);
 
   const auto selected = naive_selection(in, n, f);
   // Recompute phase 2 by hand for coordinate 0.
@@ -233,7 +235,7 @@ TEST(DistanceCache, ContextReusedAcrossCallsYieldsSameAggregates) {
       gg::GarPtr bulyan = gg::make_gar("bulyan", n, f);
       gt::FlatVector reused;
       bulyan->aggregate_into(in, ctx, reused);
-      EXPECT_EQ(reused, bulyan->aggregate(in)) << "n=" << n;
+      EXPECT_EQ(reused, ts::aggregate(*bulyan, in)) << "n=" << n;
     }
   }
 }

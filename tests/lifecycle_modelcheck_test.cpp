@@ -1,32 +1,28 @@
-// Schedule model-checker for the node-lifecycle FSM (README "Node
-// lifecycle & churn", net/cluster.h).
+// Schedule model-checker for node liveness (README "Node lifecycle &
+// churn", net/cluster.h).
 //
 // The churn/lifecycle tests elsewhere exercise a handful of hand-picked
 // trajectories; this suite explores the *schedule space*. Every concurrent
-// history of the lifecycle plane is some interleaving of three primitives —
-// advance_lifecycle(iter) calls (any loop thread, any iteration order),
-// message deliveries, and the manual crash/begin_recovery/complete_recovery
-// edges — and because each primitive is executed to completion here
-// (pool_threads=1, zero simulated delay, wait-per-callback), every distinct
-// *order* of primitives is a distinct logical interleaving of the real
-// implementation, not of a model of it.
+// history of the liveness plane is some interleaving of two primitives —
+// advance_lifecycle(iter) calls (any loop thread, any iteration order) and
+// message deliveries — and because each primitive is executed to
+// completion here (pool_threads=1, zero simulated delay, wait-per-
+// callback), every distinct *order* of primitives is a distinct logical
+// interleaving of the real implementation, not of a model of it.
 //
-// Two explorers:
-//  - an exhaustive pass over every manual-edge sequence of depth 4 on two
-//    nodes (6^4 = 1296 schedules), cross-checked against a shadow FSM, and
-//  - a seeded DFS over advance/delivery interleavings of a two-event churn
-//    schedule (budget 12'000 distinct schedules), cross-checked against
-//    the NetworkConditions membership predicate `churn_down` — the same
-//    oracle the analytic plane uses, so live FSM and sim plane cannot
-//    drift apart anywhere in the explored space.
-//
-// Together the two passes explore >= 10'000 distinct schedules. Invariants
-// checked on every schedule:
-//  - no delivery to a non-RUNNING node (fail-silent: nullptr reply, the
-//    handler never fires);
-//  - the recovery edges are strict (CRASHED -> RECOVERING -> RUNNING;
-//    anything else throws std::logic_error and leaves the state unchanged);
-//  - advance_lifecycle never parks a node mid-recovery;
+// A seeded DFS over advance/delivery interleavings of a three-event churn
+// schedule (budget 12'000 distinct schedules) cross-checks the live
+// cluster against the NetworkConditions membership predicate
+// `churn_down` — the same oracle the analytic plane uses, so live cluster
+// and sim plane cannot drift apart anywhere in the explored space.
+// Invariants checked on every schedule:
+//  - a node serves iff the schedule has it up at the horizon (fail-silent:
+//    nullptr reply, the handler never fires), and its handlers survive a
+//    crash window;
+//  - each recovery hook fires exactly once per effective up-edge the
+//    horizon crosses, with that up-edge, and the node is fail-silent to a
+//    probe sent from inside its own hook;
+//  - advance_lifecycle never leaves a node mid-recovery;
 //  - the not-ready redelivery chain terminates (gives up at the deadline,
 //    bounded attempts);
 //  - the below-floor churn abort fires deterministically with a
@@ -43,6 +39,7 @@
 #include <future>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -61,8 +58,8 @@ namespace {
 
 /// Synchronous delivery: one call(), wait for its callback. With zero
 /// simulated delay and a single pool thread the reply (or refusal)
-/// resolves immediately, so the caller observes exactly the lifecycle
-/// state the schedule put the callee in.
+/// resolves immediately, so the caller observes exactly the liveness the
+/// schedule put the callee in.
 gn::PayloadPtr deliver(gn::Cluster& cluster, gn::NodeId from, gn::NodeId to,
                        std::uint64_t iteration,
                        gn::Duration timeout = std::chrono::seconds(5)) {
@@ -85,198 +82,97 @@ std::string schedule_name(const std::vector<int>& schedule) {
 
 }  // namespace
 
-// ------------------------------------------------ exhaustive manual edges
-
-namespace {
-
-enum class ShadowState { kRunning, kCrashed, kRecovering };
-
-struct ShadowNode {
-  ShadowState state = ShadowState::kRunning;
-  bool handlers_present = true;  // dropped at crash, like the real thing
-};
-
-/// Apply one manual edge to the shadow FSM. Returns true when the edge is
-/// legal; an illegal edge leaves the shadow unchanged (the real cluster
-/// must throw and do the same).
-bool shadow_apply(ShadowNode& node, int op) {
-  switch (op) {
-    case 0:  // crash: any state -> CRASHED, handlers dropped
-      node.state = ShadowState::kCrashed;
-      node.handlers_present = false;
-      return true;
-    case 1:  // begin_recovery: CRASHED -> RECOVERING only
-      if (node.state != ShadowState::kCrashed) return false;
-      node.state = ShadowState::kRecovering;
-      return true;
-    default:  // complete_recovery: RECOVERING -> RUNNING only
-      if (node.state != ShadowState::kRecovering) return false;
-      node.state = ShadowState::kRunning;
-      return true;
-  }
-}
-
-gn::NodeLifecycle to_lifecycle(ShadowState s) {
-  switch (s) {
-    case ShadowState::kRunning:
-      return gn::NodeLifecycle::kRunning;
-    case ShadowState::kCrashed:
-      return gn::NodeLifecycle::kCrashed;
-    default:
-      return gn::NodeLifecycle::kRecovering;
-  }
-}
-
-}  // namespace
-
-TEST(LifecycleModelCheck, ExhaustiveManualEdgeSequencesMatchShadowFsm) {
-  // Every sequence of 4 ops over {crash, begin_recovery, complete_recovery}
-  // x {node 0, node 1}: 6^4 = 1296 schedules, executed exhaustively.
-  constexpr int kOpsPerNode = 3;
-  constexpr std::size_t kNodes = 2;
-  constexpr int kAlphabet = kOpsPerNode * int(kNodes);
-  constexpr int kDepth = 4;
-
-  std::uint64_t total = 1;
-  for (int d = 0; d < kDepth; ++d) total *= kAlphabet;
-
-  std::uint64_t explored = 0;
-  for (std::uint64_t code = 0; code < total; ++code) {
-    // Decode the schedule id into its op sequence (base-6 digits).
-    std::vector<int> schedule(kDepth);
-    std::uint64_t rest = code;
-    for (int d = 0; d < kDepth; ++d) {
-      schedule[d] = int(rest % kAlphabet);
-      rest /= kAlphabet;
-    }
-
-    // Handler captures must outlive the cluster (teardown flushes the
-    // timer backlog inline), so declare them first.
-    std::array<ShadowNode, kNodes> shadow;
-    std::array<int, kNodes> served{};
-    gn::Cluster::Options opt;
-    opt.nodes = kNodes;
-    opt.pool_threads = 1;
-    gn::Cluster cluster(opt);
-    for (gn::NodeId node = 0; node < kNodes; ++node) {
-      cluster.register_handler(
-          node, "probe", [&served, node](const gn::Request&) {
-            ++served[node];
-            return gn::HandlerResult::reply(gn::Payload{float(node)});
-          });
-    }
-
-    for (int action : schedule) {
-      const auto node = gn::NodeId(action / kOpsPerNode);
-      const int op = action % kOpsPerNode;
-      const bool legal = shadow_apply(shadow[node], op);
-      bool threw = false;
-      try {
-        if (op == 0) {
-          cluster.crash(node);
-        } else if (op == 1) {
-          cluster.begin_recovery(node);
-        } else {
-          cluster.complete_recovery(node);
-        }
-      } catch (const std::logic_error&) {
-        threw = true;
-      }
-      ASSERT_EQ(threw, !legal)
-          << "schedule " << schedule_name(schedule) << " op " << action;
-      // Legal or not, the cluster must agree with the shadow afterwards:
-      // an illegal edge may not move the state.
-      for (gn::NodeId check = 0; check < kNodes; ++check) {
-        ASSERT_EQ(cluster.lifecycle(check), to_lifecycle(shadow[check].state))
-            << "schedule " << schedule_name(schedule) << " node " << check;
-      }
-    }
-
-    // Fail-silence at the end state: a delivery reaches the handler iff the
-    // node is RUNNING *and* still has the handler (crash drops handlers; a
-    // manually completed recovery without re-registration serves nothing —
-    // exactly the restarted-empty-process semantics the trainer's recovery
-    // hook exists to fix).
-    const int before = served[0];
-    const gn::PayloadPtr reply = deliver(cluster, 1, 0, /*iteration=*/0);
-    const bool expect_served =
-        shadow[0].state == ShadowState::kRunning && shadow[0].handlers_present;
-    ASSERT_EQ(reply != nullptr, expect_served)
-        << "schedule " << schedule_name(schedule);
-    ASSERT_EQ(served[0], before + (expect_served ? 1 : 0))
-        << "schedule " << schedule_name(schedule);
-    ++explored;
-  }
-  EXPECT_EQ(explored, total);
-  RecordProperty("schedules_explored", std::to_string(explored));
-}
-
 // ------------------------------------------- seeded DFS over churn space
 
 namespace {
 
-/// Two overlapping crash windows on four nodes: node 1 is down over
-/// [2, 4), node 2 over [3, 6). Advancing past 6 must walk both nodes all
-/// the way back up regardless of the order the horizon grew in.
+/// Three crash windows on four nodes: node 1 is down over [2, 4) and again
+/// over [5, 7), node 2 over [3, 6). A horizon jump from below 4 to 6 steps
+/// over node 1's first up-edge into its second window: node 1 must stay
+/// down, and only the up-edge at 7 may run its hook.
 constexpr const char* kChurnSpec =
     "churn:crash=1,at_iter=2,recover_after=2;"
-    "churn:crash=2,at_iter=3,recover_after=3";
+    "churn:crash=2,at_iter=3,recover_after=3;"
+    "churn:crash=1,at_iter=5,recover_after=2";
 
 /// Action alphabet for the DFS. Advances deliberately include horizon
-/// jumps (6 straight from 0 spans a whole crash window: the down-edge must
-/// still fire before the up-edge) and deliveries probe the two churned
-/// nodes at the current horizon.
-constexpr std::array<std::uint64_t, 5> kAdvances{1, 2, 3, 4, 6};
+/// jumps (6 straight from 0 spans whole crash windows) and deliveries
+/// probe the two churned nodes at the current horizon.
+constexpr std::array<std::uint64_t, 6> kAdvances{1, 2, 3, 4, 6, 7};
 constexpr int kDeliverTargets = 2;  // nodes 1 and 2
 constexpr int kDfsAlphabet = int(kAdvances.size()) + kDeliverTargets;
 constexpr int kDfsDepth = 6;
 constexpr std::size_t kDfsBudget = 12'000;
+constexpr std::size_t kNodes = 4;
+
+/// The last up-edge of `node` in (from, to] — an iteration u the schedule
+/// flips from down (u - 1) to up (u) — or nullopt when there is none.
+std::optional<std::uint64_t> last_up_edge(
+    const gn::NetworkConditions& conditions, gn::NodeId node,
+    std::uint64_t from, std::uint64_t to) {
+  std::optional<std::uint64_t> last;
+  for (std::uint64_t u = from + 1; u <= to; ++u) {
+    if (conditions.churn_down(node, u - 1) && !conditions.churn_down(node, u))
+      last = u;
+  }
+  return last;
+}
 
 /// Replay one schedule against a fresh cluster, asserting the membership
-/// invariants after every action. Returns false (with a recorded gtest
-/// failure) on the first violation.
+/// invariants after every action. Returns on the first violation (with a
+/// recorded gtest failure).
 void run_churn_schedule(const std::vector<int>& schedule,
                         const gn::NetworkConditions& conditions) {
   // Declared before the cluster: handler captures must outlive it.
-  std::array<int, 4> served{};
-  const auto probe_for = [&served](gn::NodeId node) {
-    return [&served, node](const gn::Request&) {
-      ++served[node];
-      return gn::HandlerResult::reply(gn::Payload{float(node)});
-    };
-  };
+  std::array<int, kNodes> served{};
+  std::array<int, kNodes> hooks{};
+  std::array<std::uint64_t, kNodes> hook_up{};
+  std::array<int, kNodes> expected_hooks{};
+  std::array<std::uint64_t, kNodes> expected_up{};
 
   gn::Cluster::Options opt;
-  opt.nodes = 4;
+  opt.nodes = kNodes;
   opt.pool_threads = 1;
   opt.conditions = conditions;
   gn::Cluster cluster(opt);
-  for (gn::NodeId node = 0; node < 4; ++node) {
-    cluster.register_handler(node, "probe", probe_for(node));
+  // Registered once: a crash window must not cost a node its handlers.
+  for (gn::NodeId node = 0; node < kNodes; ++node) {
+    cluster.register_handler(node, "probe",
+                             [&served, node](const gn::Request&) {
+                               ++served[node];
+                               return gn::HandlerResult::reply(
+                                   gn::Payload{float(node)});
+                             });
   }
-  // The recovery hook re-registers the probe handler — the miniature of
-  // the trainer's re-register + state-transfer hook.
-  for (gn::NodeId node = 1; node <= 2; ++node) {
+  // The hook counts itself and probes its own node: until the hook
+  // returns, the node is still state-transferring and must stay silent.
+  for (gn::NodeId node = 0; node < kNodes; ++node) {
     cluster.set_recovery_handler(
-        node, [&cluster, &probe_for, node](std::uint64_t) {
-          cluster.register_handler(node, "probe", probe_for(node));
+        node, [&cluster, &served, &hooks, &hook_up, node](std::uint64_t up) {
+          ++hooks[node];
+          hook_up[node] = up;
+          const int before = served[node];
+          EXPECT_EQ(deliver(cluster, 3, node, up), nullptr)
+              << "node " << node << " served inside its recovery hook";
+          EXPECT_EQ(served[node], before);
         });
   }
 
   std::uint64_t horizon = 0;
   const auto check_membership = [&](const char* when) {
-    for (gn::NodeId node = 0; node < 4; ++node) {
-      // The live FSM and the plane-shared membership predicate must agree
-      // at every step of every schedule — this is the live-vs-analytic
-      // no-drift oracle.
+    for (gn::NodeId node = 0; node < kNodes; ++node) {
+      // The live cluster and the plane-shared membership predicate must
+      // agree at every step of every schedule — this is the live-vs-
+      // analytic no-drift oracle. Outside advance_lifecycle no node may
+      // be left mid-recovery, so this holds for recovered nodes too.
       ASSERT_EQ(cluster.is_crashed(node),
                 conditions.churn_down(node, horizon))
           << "schedule " << schedule_name(schedule) << " " << when
           << " horizon " << horizon << " node " << node;
-      // advance_lifecycle() must never park a node mid-recovery: the hook
-      // runs inside the up-edge, so outside the call RECOVERING is not an
-      // observable schedule-driven state.
-      ASSERT_NE(cluster.lifecycle(node), gn::NodeLifecycle::kRecovering)
+      ASSERT_EQ(hooks[node], expected_hooks[node])
+          << "schedule " << schedule_name(schedule) << " " << when
+          << " horizon " << horizon << " node " << node;
+      ASSERT_EQ(hook_up[node], expected_up[node])
           << "schedule " << schedule_name(schedule) << " " << when
           << " horizon " << horizon << " node " << node;
     }
@@ -286,6 +182,17 @@ void run_churn_schedule(const std::vector<int>& schedule,
   for (int action : schedule) {
     if (action < int(kAdvances.size())) {
       const std::uint64_t iter = kAdvances[std::size_t(action)];
+      if (iter > horizon) {
+        // One hook per effective up-edge: the last one the horizon
+        // crosses, and only if no later down-edge undoes it.
+        for (gn::NodeId node = 0; node < kNodes; ++node) {
+          const auto up = last_up_edge(conditions, node, horizon, iter);
+          if (up && !conditions.churn_down(node, iter)) {
+            ++expected_hooks[node];
+            expected_up[node] = *up;
+          }
+        }
+      }
       cluster.advance_lifecycle(iter);
       horizon = std::max(horizon, iter);
     } else {
@@ -300,6 +207,7 @@ void run_churn_schedule(const std::vector<int>& schedule,
           << "schedule " << schedule_name(schedule) << " deliver to " << to
           << " at horizon " << horizon;
     }
+    if (::testing::Test::HasFailure()) return;
     check_membership("after action");
     if (::testing::Test::HasFatalFailure()) return;
   }
@@ -310,7 +218,7 @@ void run_churn_schedule(const std::vector<int>& schedule,
 TEST(LifecycleModelCheck, SeededDfsOverChurnScheduleInterleavings) {
   const gn::NetworkConditions conditions =
       gn::NetworkConditions::parse(kChurnSpec);
-  conditions.validate(4);
+  conditions.validate(kNodes);
 
   // Enumerate distinct schedules by DFS over the action tree, visiting
   // children in seeded-shuffled order so the explored 12'000-schedule
@@ -348,7 +256,7 @@ TEST(LifecycleModelCheck, SeededDfsOverChurnScheduleInterleavings) {
 
   for (const std::vector<int>& schedule : schedules) {
     run_churn_schedule(schedule, conditions);
-    if (::testing::Test::HasFatalFailure()) {
+    if (::testing::Test::HasFailure()) {
       FAIL() << "first violating schedule: " << schedule_name(schedule)
              << " (seed " << seed << ")";
     }

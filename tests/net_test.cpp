@@ -207,9 +207,10 @@ TEST(Cluster, CollectRejectsOversizedQuorum) {
 }
 
 TEST(Cluster, CrashedNodeNeverReplies) {
-  gn::Cluster cluster(small_cluster(4));
+  gn::Cluster::Options opts = small_cluster(4);
+  opts.conditions = gn::NetworkConditions::parse("churn:crash=2,at_iter=0");
+  gn::Cluster cluster(opts);
   for (gn::NodeId i = 1; i < 4; ++i) serve_constant(cluster, i, float(i));
-  cluster.crash(2);
   EXPECT_TRUE(cluster.is_crashed(2));
   std::vector<gn::NodeId> peers{1, 2, 3};
   // q = 2 is satisfiable by the two live nodes.
@@ -219,9 +220,10 @@ TEST(Cluster, CrashedNodeNeverReplies) {
 }
 
 TEST(Cluster, CollectTimesOutGracefullyWhenQuorumImpossible) {
-  gn::Cluster cluster(small_cluster(3));
+  gn::Cluster::Options opts = small_cluster(3);
+  opts.conditions = gn::NetworkConditions::parse("churn:crash=2,at_iter=0");
+  gn::Cluster cluster(opts);
   serve_constant(cluster, 1, 1.0F);
-  cluster.crash(2);
   std::vector<gn::NodeId> peers{1, 2};
   // q = 2 but only one live replier: returns 1 reply once both callbacks
   // resolved (crashed responds nullptr), well before the deadline.
@@ -462,7 +464,7 @@ TEST(Cluster, LatencyAndJitterDelayDelivery) {
   EXPECT_GE(elapsed, 45ms);
 }
 
-// ----------------------------------------------------------- lifecycle FSM
+// --------------------------------------------------------------- lifecycle
 
 TEST(Lifecycle, RetryGiveUpIsStrictlyAfterTheDeadline) {
   // The give-up comparison must be strict: a retry landing exactly AT the
@@ -472,59 +474,6 @@ TEST(Lifecycle, RetryGiveUpIsStrictlyAfterTheDeadline) {
   EXPECT_FALSE(gn::retry_gives_up(deadline, deadline));
   EXPECT_FALSE(gn::retry_gives_up(deadline - 1us, deadline));
   EXPECT_TRUE(gn::retry_gives_up(deadline + 1us, deadline));
-}
-
-TEST(Lifecycle, CrashRecoverRoundTripRestoresService) {
-  gn::Cluster cluster(small_cluster(2));
-  serve_constant(cluster, 1, 5.0F);
-  EXPECT_EQ(cluster.lifecycle(1), gn::NodeLifecycle::kRunning);
-
-  cluster.crash(1);
-  EXPECT_EQ(cluster.lifecycle(1), gn::NodeLifecycle::kCrashed);
-  EXPECT_TRUE(cluster.is_crashed(1));
-  std::vector<gn::NodeId> peers{1};
-  EXPECT_TRUE(cluster.collect(0, peers, "echo", 0, nullptr, 1, 1s).empty());
-
-  cluster.begin_recovery(1);
-  EXPECT_EQ(cluster.lifecycle(1), gn::NodeLifecycle::kRecovering);
-  // RECOVERING is still fail-silent.
-  EXPECT_TRUE(cluster.is_crashed(1));
-  EXPECT_TRUE(cluster.collect(0, peers, "echo", 1, nullptr, 1, 1s).empty());
-
-  // A restarted process has no handlers: re-register before completing.
-  serve_constant(cluster, 1, 6.0F);
-  cluster.complete_recovery(1);
-  EXPECT_EQ(cluster.lifecycle(1), gn::NodeLifecycle::kRunning);
-  EXPECT_FALSE(cluster.is_crashed(1));
-  auto replies = cluster.collect(0, peers, "echo", 2, nullptr, 1);
-  ASSERT_EQ(replies.size(), 1u);
-  EXPECT_FLOAT_EQ((*replies[0].payload)[0], 6.0F);
-}
-
-TEST(Lifecycle, CrashDropsRegisteredHandlers) {
-  gn::Cluster cluster(small_cluster(2));
-  serve_constant(cluster, 1, 5.0F);
-  cluster.crash(1);
-  cluster.begin_recovery(1);
-  cluster.complete_recovery(1);
-  // Recovered without re-registering: the old handler must be gone (a
-  // restarted process does not keep the dead one's function pointers).
-  std::promise<gn::PayloadPtr> done;
-  cluster.call(0, 1, "echo", 0, nullptr,
-               [&done](gn::PayloadPtr p) { done.set_value(std::move(p)); });
-  EXPECT_FALSE(done.get_future().get());
-}
-
-TEST(Lifecycle, OutOfOrderTransitionsThrow) {
-  gn::Cluster cluster(small_cluster(2));
-  EXPECT_THROW(cluster.begin_recovery(1), std::logic_error);     // RUNNING
-  EXPECT_THROW(cluster.complete_recovery(1), std::logic_error);  // RUNNING
-  cluster.crash(1);
-  EXPECT_THROW(cluster.complete_recovery(1), std::logic_error);  // CRASHED
-  cluster.begin_recovery(1);
-  EXPECT_THROW(cluster.begin_recovery(1), std::logic_error);  // RECOVERING
-  cluster.complete_recovery(1);
-  EXPECT_EQ(cluster.lifecycle(1), gn::NodeLifecycle::kRunning);
 }
 
 TEST(Lifecycle, ChurnScheduleDrivesCrashAndRecovery) {
@@ -582,9 +531,10 @@ TEST(Lifecycle, PermanentCrashNeverRecovers) {
 }
 
 TEST(Lifecycle, QuorumMissesCountShortCollects) {
-  gn::Cluster cluster(small_cluster(4));
+  gn::Cluster::Options opts = small_cluster(4);
+  opts.conditions = gn::NetworkConditions::parse("churn:crash=3,at_iter=0");
+  gn::Cluster cluster(opts);
   for (gn::NodeId i = 1; i < 4; ++i) serve_constant(cluster, i, float(i));
-  cluster.crash(3);
   std::vector<gn::NodeId> peers{1, 2, 3};
   // Met quorum: no miss.
   EXPECT_EQ(cluster.collect(0, peers, "echo", 0, nullptr, 2).size(), 2u);

@@ -23,6 +23,13 @@ FlatVector mean_of(std::span<const FlatVector> inputs) {
   return tensor::mean(inputs);
 }
 
+FlatVector aggregate(const gars::Gar& gar, std::span<const FlatVector> inputs) {
+  gars::AggregationContext ctx;
+  FlatVector out;
+  gar.aggregate_into(inputs, ctx, out);
+  return out;
+}
+
 double rms_diff(const FlatVector& a, const FlatVector& b) {
   if (a.size() != b.size() || a.empty()) {
     throw std::invalid_argument("rms_diff: size mismatch or empty");
@@ -140,7 +147,7 @@ ScenarioResult run_scenario(const Scenario& scenario) {
   const gars::GarPtr gar =
       gars::make_gar(scenario.gar, received.size(), scenario.f);
   ScenarioResult result;
-  result.aggregate = gar->aggregate(received);
+  result.aggregate = aggregate(*gar, received);
   result.honest_mean = mean_of(honest);
   result.rms_deviation = rms_diff(result.aggregate, result.honest_mean);
   result.received = received.size();

@@ -17,6 +17,10 @@
 #include "tensor/rng.h"
 #include "tensor/vecops.h"
 
+namespace garfield::gars {
+class Gar;
+}  // namespace garfield::gars
+
 namespace garfield::testsupport {
 
 using tensor::FlatVector;
@@ -49,6 +53,13 @@ struct CloudSpec {
 
 /// Largest absolute coordinate difference.
 [[nodiscard]] double max_abs_diff(const FlatVector& a, const FlatVector& b);
+
+// ------------------------------------------------------------ aggregation
+
+/// One Gar::aggregate_into call through a fresh AggregationContext: the
+/// allocating one-shot form that tests and cold paths want.
+[[nodiscard]] FlatVector aggregate(const gars::Gar& gar,
+                                   std::span<const FlatVector> inputs);
 
 // ------------------------------------------------------- attack scenarios
 

@@ -6,11 +6,13 @@
 
 #include "core/controller.h"
 #include "gars/gar.h"
+#include "support/test_support.h"
 #include "tensor/rng.h"
 
 namespace gg = garfield::gars;
 namespace gc = garfield::core;
 namespace gt = garfield::tensor;
+namespace ts = garfield::testsupport;
 
 // ----------------------------------------------------- GAR (n, f) grids
 
@@ -34,7 +36,7 @@ TEST_P(GarGrid, AllFeasibleFValues) {
         continue;
       }
       gg::GarPtr gar = gg::make_gar(name, n, f);
-      const gt::FlatVector out = gar->aggregate(in);
+      const gt::FlatVector out = ts::aggregate(*gar, in);
       ASSERT_EQ(out.size(), 10u) << name;
       EXPECT_TRUE(gt::all_finite(out)) << name << " n=" << n << " f=" << f;
     }
