@@ -116,8 +116,10 @@ void Cluster::set_recovery_handler(
 void Cluster::advance_lifecycle(std::uint64_t iteration) {
   const NetworkConditions& conditions = options_.conditions;
   if (!conditions.has_churn()) return;
-  if (iteration <= lifecycle_horizon_.load(std::memory_order_acquire)) return;
   {
+    // Every call takes the lock, even one at or below the horizon: a loop
+    // that reaches an up-edge while another loop runs that edge's hook must
+    // wait for the hook, or it would collect from a still-silent node.
     util::MutexLock lock(lifecycle_mutex_);
     const std::uint64_t from = lifecycle_horizon_.load();
     if (iteration <= from) return;

@@ -213,7 +213,9 @@ class Cluster {
   /// has up at the new horizon but down somewhere in [old, new) gets its
   /// recovery hook, once, with the up-edge that last brought it back;
   /// hooks run one at a time, and each node stays silent until its own
-  /// hook returns.
+  /// hook returns. A call returns only after every hook for an up-edge at
+  /// or below `iteration` has finished, including one another thread is
+  /// still running.
   void advance_lifecycle(std::uint64_t iteration);
 
   /// Block until `node` serves again (a crashed node's own driving loop

@@ -508,6 +508,29 @@ TEST(Lifecycle, ChurnScheduleDrivesCrashAndRecovery) {
   EXPECT_EQ(*resumed, 8u);
 }
 
+TEST(Lifecycle, SecondAdvanceToAnUpEdgeWaitsForItsRecoveryHook) {
+  gn::Cluster::Options opts = small_cluster(2);
+  opts.conditions =
+      gn::NetworkConditions::parse("churn:crash=1,at_iter=0,recover_after=3");
+  gn::Cluster cluster(opts);
+  serve_constant(cluster, 1, 1.0F);
+  std::promise<void> hook_started;
+  cluster.set_recovery_handler(1, [&](std::uint64_t) {
+    hook_started.set_value();
+    std::this_thread::sleep_for(200ms);  // a slow state transfer
+  });
+  std::thread first([&] { cluster.advance_lifecycle(3); });
+  hook_started.get_future().wait();
+  // A second loop crossing the same up-edge returns only once the first
+  // loop's hook has finished, so its next delivery to the node is served.
+  cluster.advance_lifecycle(3);
+  const std::vector<gn::NodeId> peers{1};
+  const auto replies = cluster.collect(0, peers, "echo", 3, nullptr, 1, 2s);
+  first.join();
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].from, 1u);
+}
+
 TEST(Lifecycle, JoinNodesStartCrashedAndComeUpAtTheirIteration) {
   gn::Cluster::Options opts = small_cluster(3);
   opts.conditions = gn::NetworkConditions::parse("churn:join=2,at_iter=10");
